@@ -13,6 +13,11 @@
 //     worker vs the machine's worker count, asserted bit-identical the same
 //     way.
 //
+// When the machine's worker count is 1, the scaling families record only
+// the sequential run (a second workers=1 entry would duplicate its name).
+// Every run prints an env line (CPU model, CPU count, GOMAXPROCS, Go
+// version) to standard error, so a results file can be tied to its host.
+//
 // Usage:
 //
 //	corebench [-o BENCH_core.json] [-quick] [-workers N]
@@ -38,6 +43,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +105,8 @@ func main() {
 	if *workers > 0 {
 		sim.SetWorkers(*workers)
 	}
+	fmt.Fprintf(os.Stderr, "env: cpu=%q nproc=%d gomaxprocs=%d go=%s\n",
+		cpuModel(), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version())
 	horizon, sweepHorizon := 10000.0, 2000.0
 	if *quick {
 		horizon, sweepHorizon = 1500.0, 600.0
@@ -109,16 +118,16 @@ func main() {
 		engineBench("engine/throughput-bounded-hist", horizon, 512),
 		allocBench(horizon),
 	)
-	seq, par, err := sweepBenches(sweepHorizon)
+	sweeps, err := sweepBenches(sweepHorizon)
 	if err != nil {
 		fatal("%v", err)
 	}
-	results = append(results, seq, par)
-	cseq, cpar, err := clusterBenches(sweepHorizon)
+	results = append(results, sweeps...)
+	clusters, err := clusterBenches(sweepHorizon)
 	if err != nil {
 		fatal("%v", err)
 	}
-	results = append(results, cseq, cpar)
+	results = append(results, clusters...)
 
 	blob, err := json.MarshalIndent(report{
 		Description: "simulator hot-path benchmarks; regenerate with `go run ./cmd/corebench`",
@@ -202,9 +211,25 @@ func allocBench(horizon float64) Result {
 	}
 }
 
-// sweepBenches times a full cutoff sweep sequentially and with the worker
-// pool, asserting the two produce bit-identical summaries before reporting.
-func sweepBenches(horizon float64) (seq, par Result, err error) {
+// cpuModel returns the host CPU's model name from /proc/cpuinfo, or
+// "unknown" where that file is absent or has no model line.
+func cpuModel() string {
+	blob, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(blob), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
+// sweepBenches times a full cutoff sweep sequentially and, when the worker
+// pool has more than one worker, with the pool, asserting the two produce
+// bit-identical summaries before reporting.
+func sweepBenches(horizon float64) ([]Result, error) {
 	cfg := benchConfig(horizon, 0)
 	var cutoffs []int
 	for k := 10; k <= 90; k += 10 {
@@ -232,31 +257,35 @@ func sweepBenches(horizon float64) (seq, par Result, err error) {
 
 	seqPts, seq, err := run(1)
 	if err != nil {
-		return seq, par, fmt.Errorf("sequential sweep: %w", err)
+		return nil, fmt.Errorf("sequential sweep: %w", err)
 	}
 	seq.Name = "sweep/cutoff/workers=1"
 	parWorkers := sim.Workers()
+	if parWorkers == 1 {
+		return []Result{seq}, nil
+	}
 	parPts, par, err := run(parWorkers)
 	if err != nil {
-		return seq, par, fmt.Errorf("parallel sweep: %w", err)
+		return nil, fmt.Errorf("parallel sweep: %w", err)
 	}
 	par.Name = fmt.Sprintf("sweep/cutoff/workers=%d", parWorkers)
 
 	for i := range seqPts {
 		a, b := seqPts[i].Summary, parPts[i].Summary
 		if a.OverallDelay != b.OverallDelay || a.TotalCost != b.TotalCost {
-			return seq, par, fmt.Errorf("sweep diverged at K=%d: workers=1 delay %v vs workers=%d delay %v",
+			return nil, fmt.Errorf("sweep diverged at K=%d: workers=1 delay %v vs workers=%d delay %v",
 				seqPts[i].K, a.OverallDelay, parWorkers, b.OverallDelay)
 		}
 	}
-	return seq, par, nil
+	return []Result{seq, par}, nil
 }
 
-// clusterBenches times a 64-cell federation with mobility sequentially and
-// with the worker pool, asserting the two runs are bit-identical before
-// reporting (the cluster's barrier design makes worker count invisible to
-// the results; this is the committed proof).
-func clusterBenches(horizon float64) (seq, par Result, err error) {
+// clusterBenches times a 64-cell federation with mobility sequentially and,
+// when the worker pool has more than one worker, with the pool, asserting
+// the two runs are bit-identical before reporting (the cluster's barrier
+// design makes worker count invisible to the results; this is the
+// committed proof).
+func clusterBenches(horizon float64) ([]Result, error) {
 	cfg := cluster.Config{
 		Cells:          64,
 		Base:           benchConfig(horizon, 0),
@@ -290,20 +319,23 @@ func clusterBenches(horizon float64) (seq, par Result, err error) {
 
 	seqRes, seq, err := run(1)
 	if err != nil {
-		return seq, par, fmt.Errorf("sequential cluster sweep: %w", err)
+		return nil, fmt.Errorf("sequential cluster sweep: %w", err)
 	}
 	seq.Name = "cluster/sweep/workers=1"
 	parWorkers := workpool.Workers()
+	if parWorkers == 1 {
+		return []Result{seq}, nil
+	}
 	parRes, par, err := run(parWorkers)
 	if err != nil {
-		return seq, par, fmt.Errorf("parallel cluster sweep: %w", err)
+		return nil, fmt.Errorf("parallel cluster sweep: %w", err)
 	}
 	par.Name = fmt.Sprintf("cluster/sweep/workers=%d", parWorkers)
 
 	if !reflect.DeepEqual(seqRes, parRes) {
-		return seq, par, fmt.Errorf("cluster sweep diverged between workers=1 and workers=%d", parWorkers)
+		return nil, fmt.Errorf("cluster sweep diverged between workers=1 and workers=%d", parWorkers)
 	}
-	return seq, par, nil
+	return []Result{seq, par}, nil
 }
 
 // verifyFile parses a results file, optionally enforces the

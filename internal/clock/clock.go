@@ -43,8 +43,10 @@ type Clock interface {
 
 // Token identifies a scheduled handler so it can be cancelled. The zero
 // Token is valid and cancels nothing. A Token held past its handler's
-// firing goes stale and cancels nothing.
+// firing (or cancellation) goes stale and cancels nothing, even after the
+// clock reuses the handler's storage. Both clocks keep their pending
+// handlers in an event.Queue, so a Token is that queue's (slot,
+// generation) pair; it is meaningful only to the clock that issued it.
 type Token struct {
-	ev event.Token // set by the virtual clock
-	we *wallEvent  // set by the wall clock
+	ev event.Token
 }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,107 @@ func TestNewWallRejectsBadUnit(t *testing.T) {
 	}
 	if _, err := NewWall(-time.Second); err == nil {
 		t.Error("NewWall(-1s) succeeded")
+	}
+}
+
+// TestVirtualRunUntilNaNPanics checks the NaN-horizon guard reaches
+// callers of the Virtual clock: RunUntil(NaN) must panic rather than drain
+// every pending handler.
+func TestVirtualRunUntilNaNPanics(t *testing.T) {
+	v := NewVirtual()
+	v.At(1, func() { t.Error("handler fired under a NaN horizon") })
+	v.At(1e9, func() { t.Error("handler fired under a NaN horizon") })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunUntil(NaN) did not panic")
+		}
+		if v.Pending() != 2 {
+			t.Fatalf("%d handlers pending after RunUntil(NaN), want 2", v.Pending())
+		}
+	}()
+	v.RunUntil(math.NaN())
+}
+
+// TestWallStaleTokens checks the wall clock's Token generations: a Token
+// whose handler fired, or was cancelled, cancels nothing — even once a
+// later handler reuses its storage — while the reusing handler stays
+// cancellable through its own Token.
+func TestWallStaleTokens(t *testing.T) {
+	w, err := NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Stop()
+
+	ran := make(chan struct{})
+	firedTok := w.At(0, func() { close(ran) })
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("due handler never fired")
+	}
+	cancelledTok := w.After(1e6, func() { t.Error("cancelled handler fired") })
+	if !w.Cancel(cancelledTok) {
+		t.Fatal("Cancel of a pending handler returned false")
+	}
+	// The fired handler's slot went to the cancelled one; it is free again
+	// and goes to the first of these far-future handlers.
+	var live []Token
+	for i := 0; i < 4; i++ {
+		live = append(live, w.After(1e6, func() { t.Error("cancelled handler fired") }))
+	}
+	for _, stale := range []Token{firedTok, cancelledTok} {
+		if w.Cancel(stale) {
+			t.Fatal("stale Token cancelled a reused slot")
+		}
+	}
+	for i, tok := range live {
+		if !w.Cancel(tok) {
+			t.Fatalf("live Token %d failed to cancel", i)
+		}
+	}
+}
+
+// TestWallSubmitOrderConcurrent has several goroutines Submit to one loop,
+// cancelling stale Tokens as they go: every submitted handler runs exactly
+// once, and each goroutine's handlers run in its own submission order.
+func TestWallSubmitOrderConcurrent(t *testing.T) {
+	const senders, perSender = 4, 200
+	w, err := NewWall(time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Stop()
+
+	next := make([]int, senders) // touched only on the loop goroutine
+	all := make(chan struct{})
+	remaining := senders * perSender
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				tok := w.At(math.Inf(-1), func() {})
+				w.Submit(func() {
+					if next[g] != i {
+						t.Errorf("sender %d: handler %d ran at position %d", g, i, next[g])
+					}
+					next[g]++
+					if remaining--; remaining == 0 {
+						close(all)
+					}
+				})
+				w.Cancel(tok) // pending or already fired: either is valid
+			}
+		}(g)
+	}
+	wg.Wait()
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("not all %d submitted handlers ran", senders*perSender)
 	}
 }

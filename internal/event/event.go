@@ -3,15 +3,14 @@
 // timestamped events with deterministic FIFO tie-breaking, so that two runs
 // with the same seed replay the exact same event order.
 //
-// The pending-event set is a hybrid calendar queue (see calendar.go): a
-// bucket array covering the dense near-future band gives O(1) amortised
-// schedule and pop, and a spill heap absorbs far-future events. Events live
-// in an index-addressed arena — the structures move int32 slot numbers, not
-// pointers, so steady-state scheduling allocates nothing and the garbage
-// collector has no per-event pointers to trace. Pop order is exactly the
-// binary heap's: ascending (time, insertion sequence), bit-identical under
-// any bucket-sizing heuristic (TestDifferentialAgainstReferenceHeap pins
-// this against the retired container/heap implementation).
+// The pending-event set is a Queue (queue.go): a binary min-heap on
+// (time, insertion sequence) over an index-addressed event arena. The heap
+// moves int32 slot numbers, not pointers, so steady-state scheduling
+// allocates nothing and the garbage collector has no per-event pointers to
+// trace. The same Queue backs clock.Wall, so the simulated and the
+// wall-clock time lines share one scheduler structure. Pop order is
+// ascending (time, insertion sequence), bit-identical to the retired
+// container/heap scheduler (TestDifferentialAgainstReferenceHeap pins this).
 package event
 
 import (
@@ -25,67 +24,16 @@ import (
 // both the virtual event loop and the wall-clock loop in internal/clock.
 type Handler func()
 
-// event is one scheduled occurrence, stored in the Simulator's arena and
-// addressed by slot index. Fired and cancelled events park on the freelist
-// and are reused by later At calls; gen increments on every reuse so stale
-// Tokens can never cancel the recycled slot.
-type event struct {
-	time    float64
-	seq     uint64 // insertion order, breaks time ties deterministically
-	handler Handler
-	gen     uint64 // reuse generation, guards Token validity
-	where   int32  // bucket index, whereSpill, or whereFree once popped/cancelled
-	slot    int32  // position within its bucket slice or the spill heap
-}
-
-// where values outside the bucket range.
-const (
-	whereSpill int32 = -1 // in the far-future spill heap
-	whereFree  int32 = -2 // fired or cancelled; slot awaiting reuse
-)
-
-// Token identifies a scheduled event so it can be cancelled. A Token held
-// past its event's firing (or cancellation) goes stale and cancels nothing,
-// even after the simulator reuses the event's storage. The zero Token is
-// valid and cancels nothing (arena generations start at 1).
-type Token struct {
-	slot int32
-	gen  uint64
-}
-
 // Simulator owns the clock and the pending-event set.
 type Simulator struct {
 	now     float64
-	nextSeq uint64
 	fired   uint64
 	stopped bool
-
-	events []event // index-addressed arena; structures reference slots
-	free   []int32 // fired/cancelled slots awaiting reuse
-
-	// Calendar band: buckets[i] holds the slots of pending events whose
-	// time maps into [bandStart + i·width, bandStart + (i+1)·width). Buckets
-	// are unsorted; the pop path min-scans the first non-empty bucket, which
-	// is O(occupancy) — the sizing heuristics keep occupancy near one.
-	buckets   [][]int32
-	bandStart float64
-	width     float64
-	invWidth  float64
-	cur       int // all buckets below cur are empty (see pop)
-	bandCount int
-
-	// Far-future spill: a manual binary min-heap on (time, seq) holding the
-	// slots whose time falls beyond the band. Migrated into a fresh band by
-	// retarget when the band drains.
-	spill []int32
-
-	minSlot int32   // cached arg-min slot, -1 when unknown
-	avgGap  float64 // EWMA of pop-to-pop gaps; sets the bucket width at retarget
-	lastPop float64 // previous popped time, feeds avgGap
+	q       Queue
 }
 
 // New returns a Simulator with the clock at zero.
-func New() *Simulator { return &Simulator{minSlot: -1} }
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() float64 { return s.now }
@@ -94,56 +42,7 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
-func (s *Simulator) Pending() int { return s.bandCount + len(s.spill) }
-
-// alloc returns a recycled arena slot (bumping its generation) or a fresh
-// one, initialised for time t and handler h.
-//
-//qos:hotpath
-func (s *Simulator) alloc(t float64, h Handler) int32 {
-	var i int32
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		i = s.grow()
-	}
-	ev := &s.events[i]
-	ev.time = t
-	ev.seq = s.nextSeq
-	ev.handler = h
-	ev.gen++
-	return i
-}
-
-// grow appends a fresh zero slot to the arena (cold path: the arena reaches
-// the peak in-flight event count once, then the freelist recycles).
-func (s *Simulator) grow() int32 {
-	s.events = append(s.events, event{})
-	return int32(len(s.events) - 1)
-}
-
-// recycle parks a popped or cancelled slot for reuse. The handler is
-// dropped immediately so captured state does not outlive the event.
-//
-//qos:hotpath
-func (s *Simulator) recycle(i int32) {
-	ev := &s.events[i]
-	ev.handler = nil
-	ev.where = whereFree
-	if n := len(s.free); n < cap(s.free) {
-		s.free = s.free[:n+1]
-		s.free[n] = i
-	} else {
-		s.freeGrow(i)
-	}
-}
-
-// freeGrow is recycle's cold path: the freelist grows to the peak in-flight
-// event count once, then recycles.
-func (s *Simulator) freeGrow(i int32) {
-	s.free = append(s.free, i)
-}
+func (s *Simulator) Pending() int { return s.q.Len() }
 
 // At schedules h to run at absolute time t. Scheduling in the past panics —
 // it would silently corrupt causality. Returns a Token for cancellation.
@@ -156,13 +55,7 @@ func (s *Simulator) At(t float64, h Handler) Token {
 	if h == nil {
 		panic("event: nil handler")
 	}
-	i := s.alloc(t, h)
-	s.nextSeq++
-	s.place(i)
-	if m := s.minSlot; m >= 0 && s.before(i, m) {
-		s.minSlot = i
-	}
-	return Token{slot: i, gen: s.events[i].gen}
+	return s.q.Push(t, h)
 }
 
 // After schedules h to run delay time units from now. Negative delay panics.
@@ -177,21 +70,7 @@ func (s *Simulator) After(delay float64, h Handler) Token {
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op and returns false.
-func (s *Simulator) Cancel(tok Token) bool {
-	if tok.gen == 0 || int(tok.slot) >= len(s.events) {
-		return false
-	}
-	ev := &s.events[tok.slot]
-	if ev.gen != tok.gen || ev.where == whereFree {
-		return false
-	}
-	s.unlink(tok.slot)
-	if s.minSlot == tok.slot {
-		s.minSlot = -1
-	}
-	s.recycle(tok.slot)
-	return true
-}
+func (s *Simulator) Cancel(tok Token) bool { return s.q.Cancel(tok) }
 
 // Stop makes the current Run/RunUntil call return after the in-flight
 // handler finishes. Pending events remain queued.
@@ -201,15 +80,12 @@ func (s *Simulator) Stop() { s.stopped = true }
 //
 //qos:hotpath
 func (s *Simulator) step() bool {
-	i := s.popMin()
-	if i < 0 {
+	if s.q.Len() == 0 {
 		return false
 	}
-	ev := &s.events[i]
-	s.now = ev.time
+	t, h := s.q.Pop()
+	s.now = t
 	s.fired++
-	h := ev.handler
-	s.recycle(i)
 	h()
 	return true
 }
@@ -222,15 +98,15 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with time <= horizon, then advances the clock to
-// exactly horizon. Events scheduled beyond the horizon stay queued.
+// exactly horizon. Events scheduled beyond the horizon stay queued. A
+// horizon before now, or NaN, panics.
 func (s *Simulator) RunUntil(horizon float64) {
-	if horizon < s.now {
+	if horizon < s.now || math.IsNaN(horizon) {
 		panic(fmt.Sprintf("event: horizon %g before now %g", horizon, s.now))
 	}
 	s.stopped = false
 	for !s.stopped {
-		i := s.peekMin()
-		if i < 0 || s.events[i].time > horizon {
+		if t, ok := s.q.Peek(); !ok || t > horizon {
 			break
 		}
 		s.step()

@@ -205,6 +205,24 @@ func TestRunUntilPastHorizonPanics(t *testing.T) {
 	s.RunUntil(1)
 }
 
+// TestRunUntilNaNPanics pins the NaN horizon: both the past-horizon guard
+// and the beyond-horizon break compare false against NaN, so without the
+// panic RunUntil(NaN) would drain the whole queue.
+func TestRunUntilNaNPanics(t *testing.T) {
+	s := New()
+	s.At(1, func() { t.Error("event fired under a NaN horizon") })
+	s.At(1e9, func() { t.Error("event fired under a NaN horizon") })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunUntil(NaN) did not panic")
+		}
+		if s.Pending() != 2 {
+			t.Fatalf("%d events pending after RunUntil(NaN), want 2", s.Pending())
+		}
+	}()
+	s.RunUntil(math.NaN())
+}
+
 func TestRunUntilInclusiveBoundary(t *testing.T) {
 	s := New()
 	fired := false
@@ -322,12 +340,12 @@ func TestEventStorageIsReused(t *testing.T) {
 		s.At(s.Now(), func() {})
 		s.Run()
 	}
-	if len(s.free) == 0 {
+	if len(s.q.free) == 0 {
 		t.Fatal("no events parked for reuse")
 	}
-	before := len(s.free)
+	before := len(s.q.free)
 	s.At(s.Now(), func() {})
-	if len(s.free) != before-1 {
-		t.Fatalf("At did not pop the freelist: %d -> %d", before, len(s.free))
+	if len(s.q.free) != before-1 {
+		t.Fatalf("At did not pop the freelist: %d -> %d", before, len(s.q.free))
 	}
 }

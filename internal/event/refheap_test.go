@@ -3,9 +3,9 @@ package event
 import "container/heap"
 
 // refSim is the retired container/heap scheduler, preserved verbatim as the
-// reference implementation for the differential tests and the heap-vs-
-// calendar benchmarks. Its pop order — ascending (time, seq) — is the
-// contract the calendar queue must reproduce bit-identically.
+// reference implementation for the differential tests and the
+// BenchmarkQueueMix comparison. Its pop order — ascending (time, seq) — is
+// the contract the arena heap must reproduce bit-identically.
 type refSim struct {
 	now     float64
 	queue   refHeap

@@ -93,6 +93,14 @@ type Collector struct {
 	exK        int
 	exRng      *rng.Source
 	exemplars  map[exemplarKey]*exemplarRes
+
+	// Per-metric instance caches for the hot methods below.
+	arrivals, servedPush, servedPull, blockedReqs, retries, shed           handles[Counter]
+	expired, rateLimited, quotaExceeded, handoffs, handoffRefused          handles[Counter]
+	rejected, pushBroadcasts, pullTx, blocked, corruptPush, corruptPull    handles[Counter]
+	delay                                                                  handles[Histogram]
+	queueItems, queueRequests, queueRequestsMax, pendingRetries, shedLevel handles[Gauge]
+	bandwidthInUse, draining                                               handles[Gauge]
 }
 
 // exemplarKey addresses one delay-bucket reservoir.
@@ -141,7 +149,7 @@ func (c *Collector) Registry() *Registry { return c.reg }
 
 // Arrival counts one request arrival for the class.
 func (c *Collector) Arrival(class int) {
-	c.reg.Counter(MetricArrivals, class).Inc()
+	c.arrivals.get(c.reg.counters, MetricArrivals, class).Inc()
 }
 
 // Served counts one satisfied request and observes its access delay. push
@@ -149,81 +157,81 @@ func (c *Collector) Arrival(class int) {
 // as pull-served with zero delay, mirroring the trace event it comes from).
 func (c *Collector) Served(class int, delay float64, push bool) {
 	if push {
-		c.reg.Counter(MetricServedPush, class).Inc()
+		c.servedPush.get(c.reg.counters, MetricServedPush, class).Inc()
 	} else {
-		c.reg.Counter(MetricServedPull, class).Inc()
+		c.servedPull.get(c.reg.counters, MetricServedPull, class).Inc()
 	}
-	c.reg.Histogram(MetricDelay, class).Observe(delay)
+	c.delay.get(c.reg.hists, MetricDelay, class).Observe(delay)
 }
 
 // PushComplete counts one completed broadcast transmission.
 func (c *Collector) PushComplete() {
-	c.reg.Counter(MetricPushBroadcasts, ClassNone).Inc()
+	c.pushBroadcasts.get(c.reg.counters, MetricPushBroadcasts, ClassNone).Inc()
 }
 
 // PullComplete counts one completed pull transmission.
 func (c *Collector) PullComplete() {
-	c.reg.Counter(MetricPullTx, ClassNone).Inc()
+	c.pullTx.get(c.reg.counters, MetricPullTx, ClassNone).Inc()
 }
 
 // Blocked counts one pull entry dropped for bandwidth, attributing its
 // pending requests to the entry's governing class.
 func (c *Collector) Blocked(class, requests int) {
-	c.reg.Counter(MetricBlocked, ClassNone).Inc()
-	c.reg.Counter(MetricBlockedReqs, class).Add(int64(requests))
+	c.blocked.get(c.reg.counters, MetricBlocked, ClassNone).Inc()
+	c.blockedReqs.get(c.reg.counters, MetricBlockedReqs, class).Add(int64(requests))
 }
 
 // Corrupt counts one transmission lost on the lossy downlink.
 func (c *Collector) Corrupt(push bool) {
 	if push {
-		c.reg.Counter(MetricCorruptPush, ClassNone).Inc()
+		c.corruptPush.get(c.reg.counters, MetricCorruptPush, ClassNone).Inc()
 	} else {
-		c.reg.Counter(MetricCorruptPull, ClassNone).Inc()
+		c.corruptPull.get(c.reg.counters, MetricCorruptPull, ClassNone).Inc()
 	}
 }
 
 // Retry counts one client re-request for the class.
 func (c *Collector) Retry(class int) {
-	c.reg.Counter(MetricRetries, class).Inc()
+	c.retries.get(c.reg.counters, MetricRetries, class).Inc()
 }
 
 // Shed counts one admission-control refusal for the class.
 func (c *Collector) Shed(class int) {
-	c.reg.Counter(MetricShed, class).Inc()
+	c.shed.get(c.reg.counters, MetricShed, class).Inc()
 }
 
 // Expired counts one admitted request that missed its deadline (serving
 // mode: the client was answered 504 before the item's transmission).
 func (c *Collector) Expired(class int) {
-	c.reg.Counter(MetricExpired, class).Inc()
+	c.expired.get(c.reg.counters, MetricExpired, class).Inc()
 }
 
 // RateLimited counts one request refused by the class's token bucket.
 func (c *Collector) RateLimited(class int) {
-	c.reg.Counter(MetricRateLimited, class).Inc()
+	c.rateLimited.get(c.reg.counters, MetricRateLimited, class).Inc()
 }
 
 // QuotaExceeded counts one request refused by the class's pending quota.
 func (c *Collector) QuotaExceeded(class int) {
-	c.reg.Counter(MetricQuotaExceeded, class).Inc()
+	c.quotaExceeded.get(c.reg.counters, MetricQuotaExceeded, class).Inc()
 }
 
 // Handoff counts one roaming request accepted into the cell (multi-cell
 // runs).
 func (c *Collector) Handoff(class int) {
-	c.reg.Counter(MetricHandoffs, class).Inc()
+	c.handoffs.get(c.reg.counters, MetricHandoffs, class).Inc()
 }
 
 // HandoffRefused counts one roaming request the cell turned away — deadline
 // expired in transit, admission shed, or item absent from the cell's catalog.
 func (c *Collector) HandoffRefused(class int) {
-	c.reg.Counter(MetricHandoffRefused, class).Inc()
+	c.handoffRefused.get(c.reg.counters, MetricHandoffRefused, class).Inc()
 }
 
 // Rejected counts one request refused before admission control was
 // consulted — unknown API key (ClassNone) or a draining server.
 func (c *Collector) Rejected(class int) {
-	c.reg.Counter(MetricRejected, class).Inc()
+	c.rejected.get(c.reg.counters, MetricRejected, class).Inc()
 }
 
 // Exemplar attaches a sampled span ID to the delay bucket the observation
@@ -255,7 +263,7 @@ func (c *Collector) Exemplar(class int, delay float64, span int64) {
 
 // ObserveShedLevel samples the admission controller's shed level.
 func (c *Collector) ObserveShedLevel(level int) {
-	c.reg.Gauge(MetricShedLevel, ClassNone).Set(float64(level))
+	c.shedLevel.get(c.reg.gauges, MetricShedLevel, ClassNone).Set(float64(level))
 }
 
 // ObserveDraining marks whether graceful drain has begun.
@@ -264,27 +272,27 @@ func (c *Collector) ObserveDraining(draining bool) {
 	if draining {
 		v = 1
 	}
-	c.reg.Gauge(MetricDraining, ClassNone).Set(v)
+	c.draining.get(c.reg.gauges, MetricDraining, ClassNone).Set(v)
 }
 
 // ObserveQueue samples the pull queue depth (distinct items and pending
 // requests). Called by the engine whenever the queue changes, so the gauges
 // hold the exact current depth at every snapshot tick.
 func (c *Collector) ObserveQueue(items, requests int) {
-	c.reg.Gauge(MetricQueueItems, ClassNone).Set(float64(items))
-	c.reg.Gauge(MetricQueueRequests, ClassNone).Set(float64(requests))
-	c.reg.Gauge(MetricQueueRequestsMax, ClassNone).SetMax(float64(requests))
+	c.queueItems.get(c.reg.gauges, MetricQueueItems, ClassNone).Set(float64(items))
+	c.queueRequests.get(c.reg.gauges, MetricQueueRequests, ClassNone).Set(float64(requests))
+	c.queueRequestsMax.get(c.reg.gauges, MetricQueueRequestsMax, ClassNone).SetMax(float64(requests))
 }
 
 // ObservePendingRetries samples the count of booked-but-undelivered client
 // re-requests.
 func (c *Collector) ObservePendingRetries(n int) {
-	c.reg.Gauge(MetricPendingRetries, ClassNone).Set(float64(n))
+	c.pendingRetries.get(c.reg.gauges, MetricPendingRetries, ClassNone).Set(float64(n))
 }
 
 // ObserveBandwidth samples one class's reserved bandwidth units.
 func (c *Collector) ObserveBandwidth(class int, inUse float64) {
-	c.reg.Gauge(MetricBandwidthInUse, class).Set(inUse)
+	c.bandwidthInUse.get(c.reg.gauges, MetricBandwidthInUse, class).Set(inUse)
 }
 
 // Snapshots returns how many snapshots have been taken.

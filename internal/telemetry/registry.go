@@ -149,35 +149,51 @@ func NewRegistry() *Registry {
 
 // Counter returns (creating if needed) the counter name{class}.
 func (r *Registry) Counter(name string, class int) *Counter {
-	k := metricKey{name, class}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	return c
+	return lookup(r.counters, name, class)
 }
 
 // Gauge returns (creating if needed) the gauge name{class}.
 func (r *Registry) Gauge(name string, class int) *Gauge {
-	k := metricKey{name, class}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	return g
+	return lookup(r.gauges, name, class)
 }
 
 // Histogram returns (creating if needed) the histogram name{class}.
 func (r *Registry) Histogram(name string, class int) *Histogram {
+	return lookup(r.hists, name, class)
+}
+
+// lookup returns (creating if needed) the instance name{class} in m.
+func lookup[T any](m map[metricKey]*T, name string, class int) *T {
 	k := metricKey{name, class}
-	h, ok := r.hists[k]
+	v, ok := m[k]
 	if !ok {
-		h = &Histogram{}
-		r.hists[k] = h
+		v = new(T)
+		m[k] = v
 	}
-	return h
+	return v
+}
+
+// cachedClasses is the number of class labels a handles cache covers:
+// ClassNone plus classes 0 through cachedClasses-2, enough for the paper's
+// three classes and the five-tier example. Other labels bypass the cache.
+const cachedClasses = 8
+
+// handles caches one metric's instances by class, so a hot caller resolves
+// name{class} through the Registry's string-keyed map once per class
+// rather than once per event. The cache fills on first touch, through the
+// map, so a metric still exists (and exports) only once touched.
+type handles[T any] [cachedClasses]*T
+
+// get returns the instance name{class} from m, via the cache.
+func (h *handles[T]) get(m map[metricKey]*T, name string, class int) *T {
+	i := class - ClassNone
+	if uint(i) >= uint(len(h)) {
+		return lookup(m, name, class)
+	}
+	if h[i] == nil {
+		h[i] = lookup(m, name, class)
+	}
+	return h[i]
 }
 
 // sortedKeys returns the map's keys ordered by (name, class) — the

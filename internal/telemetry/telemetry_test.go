@@ -366,7 +366,9 @@ func TestHistDeltaClamps(t *testing.T) {
 }
 
 // TestServingCounters exercises the serving-mode metric methods: the lazily
-// created counters and gauges must land in snapshots under their own names.
+// created counters and gauges must land in snapshots under their own names,
+// for class labels inside and beyond the Collector's handle cache, and no
+// untouched metric may appear.
 func TestServingCounters(t *testing.T) {
 	c, err := New(Options{})
 	if err != nil {
@@ -375,6 +377,8 @@ func TestServingCounters(t *testing.T) {
 	c.Expired(1)
 	c.RateLimited(2)
 	c.RateLimited(2)
+	c.RateLimited(40)
+	c.RateLimited(40)
 	c.QuotaExceeded(0)
 	c.Rejected(ClassNone)
 	c.ObserveShedLevel(2)
@@ -387,12 +391,17 @@ func TestServingCounters(t *testing.T) {
 	}{
 		{MetricExpired, 1, 1},
 		{MetricRateLimited, 2, 2},
+		{MetricRateLimited, 40, 2},
 		{MetricQuotaExceeded, 0, 1},
 		{MetricRejected, ClassNone, 1},
 	} {
 		if got := s.Counter(tc.name, tc.class); got != tc.want {
 			t.Errorf("%s{class=%d} = %d, want %d", tc.name, tc.class, got, tc.want)
 		}
+	}
+	if len(s.Counters) != 5 || len(s.Gauges) != 2 || len(s.Hists) != 0 {
+		t.Errorf("snapshot holds %d counters, %d gauges, %d histograms; want only the 5 and 2 touched",
+			len(s.Counters), len(s.Gauges), len(s.Hists))
 	}
 	if got := s.Gauge(MetricShedLevel, ClassNone); got != 2 {
 		t.Errorf("shed_level = %g, want 2", got)
