@@ -1,51 +1,46 @@
 package core
 
-// Struct-of-arrays arena for the serving engine's per-request state. One
-// admitted request = one int32 slot across the parallel field slices; freed
+// Struct-of-arrays arena for the state of submitted requests (Server.Submit).
+// One live request = one int32 slot across the parallel field slices; freed
 // slots recycle through a freelist, so steady-state serving allocates no
 // per-request objects and the tracking structures (push-waiter lists, pull
-// queue tags) carry generation-packed int64 handles instead of pointers.
+// queue requests) carry generation-packed int64 handles instead of pointers.
 //
-// A handle packs gen<<32 | slot. Generations bump on every slot reuse and
-// start at 1, so the zero handle never resolves and a handle outliving its
-// request (in a pull-queue entry or a push-waiter list) goes inert the
-// moment the slot is recycled — the same staleness contract event.Token
-// gives the scheduler, applied to requests.
+// A handle packs gen<<32 | slot. Generations start at 1 and bump when a
+// slot is released, so the zero handle never resolves (it marks a generated
+// request, which has no caller waiting) and a handle outliving its request
+// (in a pull-queue entry or a push-waiter list) goes inert the moment the
+// request resolves — the same staleness contract event.Token gives the
+// scheduler, applied to requests.
 
 import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
-	"hybridqos/internal/span"
 )
 
-// reqArena holds every live request's fields in parallel slices.
+// reqArena holds every live submitted request's fields in parallel slices.
 type reqArena struct {
-	item     []int32
-	class    []clients.Class
-	arrival  []float64
-	deadline []float64
-	done     []func(Result)
-	expiry   []clock.Token
-	sp       []*span.Span // open span, nil when unsampled/disabled
-	gen      []uint32
-	terminal []bool
-	free     []int32 // recycled slots awaiting reuse
+	item    []int32
+	class   []clients.Class
+	arrival []float64
+	span    []int64 // span ID when head-sampled, 0 otherwise
+	done    []func(Result)
+	expiry  []clock.Token
+	gen     []uint32
+	free    []int32 // recycled slots awaiting reuse
 }
 
-// alloc returns a cleared slot with a fresh generation.
+// alloc returns a free slot; its generation already differs from every
+// handle issued for the slot before.
 //
 //qos:hotpath
 func (a *reqArena) alloc() int32 {
-	var slot int32
 	if n := len(a.free); n > 0 {
-		slot = a.free[n-1]
+		slot := a.free[n-1]
 		a.free = a.free[:n-1]
-	} else {
-		slot = a.grow()
+		return slot
 	}
-	a.gen[slot]++
-	a.terminal[slot] = false
-	return slot
+	return a.grow()
 }
 
 // grow is alloc's cold path: the arena extends to the peak concurrent
@@ -54,12 +49,10 @@ func (a *reqArena) grow() int32 {
 	a.item = append(a.item, 0)
 	a.class = append(a.class, 0)
 	a.arrival = append(a.arrival, 0)
-	a.deadline = append(a.deadline, 0)
+	a.span = append(a.span, 0)
 	a.done = append(a.done, nil)
 	a.expiry = append(a.expiry, clock.Token{})
-	a.sp = append(a.sp, nil)
-	a.gen = append(a.gen, 0)
-	a.terminal = append(a.terminal, false)
+	a.gen = append(a.gen, 1)
 	return int32(len(a.gen) - 1)
 }
 
@@ -70,8 +63,8 @@ func (a *reqArena) handle(slot int32) int64 {
 	return int64(a.gen[slot])<<32 | int64(uint32(slot))
 }
 
-// lookup resolves a handle to its slot, failing when the slot has been
-// recycled for a newer request (stale generation).
+// lookup resolves a handle to its slot, failing for the zero handle and
+// for a request that already resolved (stale generation).
 //
 //qos:hotpath
 func (a *reqArena) lookup(h int64) (int32, bool) {
@@ -82,33 +75,14 @@ func (a *reqArena) lookup(h int64) (int32, bool) {
 	return slot, true
 }
 
-// alive reports whether a handle still names an admitted, non-terminal
-// request — the arena equivalent of the retired live-map membership test.
-//
-//qos:hotpath
-func (a *reqArena) alive(h int64) bool {
-	slot, ok := a.lookup(h)
-	return ok && !a.terminal[slot]
-}
-
-// release recycles a terminal request's slot, dropping the pointer-carrying
-// fields immediately so callbacks and spans do not outlive the request.
+// release retires a resolved request: every handle to it goes stale, the
+// callback is dropped so it does not outlive the request, and the slot
+// joins the freelist.
 //
 //qos:hotpath
 func (a *reqArena) release(slot int32) {
+	a.gen[slot]++
 	a.done[slot] = nil
-	a.sp[slot] = nil
-	a.expiry[slot] = clock.Token{}
-	if n := len(a.free); n < cap(a.free) {
-		a.free = a.free[:n+1]
-		a.free[n] = slot
-	} else {
-		a.freeGrow(slot)
-	}
-}
-
-// freeGrow is release's cold path: the freelist reaches peak-concurrency
-// length once, then recycles.
-func (a *reqArena) freeGrow(slot int32) {
+	//lint:allow hotalloc amortized: the freelist grows to the peak concurrent request count once, then recycles
 	a.free = append(a.free, slot)
 }

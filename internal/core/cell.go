@@ -53,17 +53,20 @@ const (
 	InjectShed
 )
 
-// Start arms the simulation: initial gauge observations, the telemetry
-// snapshot chain, the first arrival, and the broadcast loop. It is the first
-// third of Run, split out so a cluster can interleave AdvanceTo calls with
-// cross-cell exchanges. Call it exactly once, before any AdvanceTo.
+// Start arms the server: initial gauge observations, the telemetry
+// snapshot chain, the first arrival (simulation only), and the broadcast
+// loop. It is the first third of Run, split out so a cluster can interleave
+// AdvanceTo calls with cross-cell exchanges and a serving driver can
+// Submit. Call it exactly once, before any AdvanceTo or Submit.
 func (s *Server) Start() {
 	s.observeQueue()
 	s.observeBandwidth()
 	if s.tele != nil && s.tele.SnapshotEvery() > 0 {
 		s.scheduleSnapshot(1)
 	}
-	s.scheduleNextArrival()
+	if s.arrivals != nil {
+		s.scheduleNextArrival()
+	}
 	if s.cutoff > 0 {
 		s.startPush()
 	} else {
@@ -72,7 +75,8 @@ func (s *Server) Start() {
 }
 
 // AdvanceTo runs the event loop up to simulated time t, clamped to the
-// horizon. It is re-entrant: a cluster calls it once per handoff epoch with
+// horizon (simulation only: a serving driver runs its own clock). It is
+// re-entrant: a cluster calls it once per handoff epoch with
 // increasing barrier times, and because no simulation code executes at the
 // barrier itself, the event trajectory is identical to one uninterrupted
 // AdvanceTo(horizon).
@@ -191,7 +195,7 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 	if item <= s.cutoff {
 		s.acceptHandoff(item, class)
 		s.spanAttach(item, class, span, trace.VerdictPush)
-		s.pushWaiters[item] = append(s.pushWaiters[item], pushWaiter{class: class, arrival: arrival, joined: now, client: -1, span: span})
+		s.addPushWaiter(item, pushWaiter{class: class, arrival: arrival, joined: now, client: -1, span: span})
 		return InjectAccepted
 	}
 	if s.shedder != nil {
@@ -246,7 +250,7 @@ func (s *Server) RefuseHandoff(item int, class clients.Class, reason string, arr
 func (s *Server) acceptHandoff(item int, class clients.Class) {
 	s.metrics.PerClass[class].HandoffsIn++
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindHandoff, Item: item, Class: class})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindHandoff, Item: item, Class: class})
 	}
 }
 
@@ -255,10 +259,10 @@ func (s *Server) acceptHandoff(item int, class clients.Class) {
 func (s *Server) refuseHandoff(item int, class clients.Class, reason string, arrival float64, span int64) {
 	s.metrics.PerClass[class].HandoffRefusals++
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindHandoffRefused, Item: item, Class: class, Reason: reason})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindHandoffRefused, Item: item, Class: class, Reason: reason})
 	}
 	if span != 0 && s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: item, Class: class,
 			Req: span, Reason: "refused-" + reason, Arrival: arrival,
 		})
@@ -273,7 +277,7 @@ func (s *Server) spanHandoff(item int, class clients.Class, span int64) {
 	if span == 0 || !s.emitOn {
 		return
 	}
-	s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindSpanHandoff, Item: item, Class: class, Req: span})
+	s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindSpanHandoff, Item: item, Class: class, Req: span})
 }
 
 // spanAttach emits the roam-in provenance event for a sampled request
@@ -283,5 +287,5 @@ func (s *Server) spanAttach(item int, class clients.Class, span int64, verdict s
 	if span == 0 || !s.emitOn {
 		return
 	}
-	s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindSpanAttach, Item: item, Class: class, Req: span, Reason: verdict})
+	s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindSpanAttach, Item: item, Class: class, Req: span, Reason: verdict})
 }

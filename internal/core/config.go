@@ -7,6 +7,7 @@ import (
 	"hybridqos/internal/cache"
 	"hybridqos/internal/catalog"
 	"hybridqos/internal/clients"
+	"hybridqos/internal/clock"
 	"hybridqos/internal/faults"
 	"hybridqos/internal/policy"
 	"hybridqos/internal/pullqueue"
@@ -19,7 +20,8 @@ import (
 	"hybridqos/internal/bandwidth"
 )
 
-// Config parameterises one simulation run.
+// Config parameterises one Server: a simulation run, or a serving engine
+// when Clock is set.
 type Config struct {
 	// Catalog is the item database (required).
 	Catalog *catalog.Catalog
@@ -124,6 +126,13 @@ type Config struct {
 	// see stats.Histogram.SetBound), so long-horizon runs stop pooling raw
 	// samples. Zero keeps the exact unbounded histograms. Must be 0 or >= 2.
 	DelayHistBound int
+	// Clock, when non-nil, makes a serving Server: it runs on this clock
+	// (Virtual or Wall, driven by the caller) instead of a private virtual
+	// one and has no arrival generator — requests enter through Submit —
+	// so Lambda, Arrivals and Items go unused and Horizon may be 0 (it
+	// still scales WarmupFraction and bounds periodic snapshots). Every
+	// Server method must then run on the clock's handler goroutine.
+	Clock clock.Clock
 	// Spans, when non-nil, enables per-request span provenance: head-based,
 	// per-class deterministic sampling at arrival, with sampled requests
 	// emitting span-* trace events at every lifecycle point (admission
@@ -223,7 +232,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: pull policy: %w", err)
 		}
 	}
-	if c.Lambda <= 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0) {
+	serving := c.Clock != nil
+	if !serving && (c.Lambda <= 0 || math.IsNaN(c.Lambda) || math.IsInf(c.Lambda, 0)) {
 		return fmt.Errorf("core: invalid lambda %g", c.Lambda)
 	}
 	if c.Cutoff < 0 || c.Cutoff > c.Catalog.D() {
@@ -234,7 +244,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	if c.Horizon <= 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) {
+	if !serving && (c.Horizon <= 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0)) {
 		return fmt.Errorf("core: invalid horizon %g", c.Horizon)
 	}
 	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 || math.IsNaN(c.WarmupFraction) {

@@ -16,8 +16,12 @@
 // available bandwidth, drops the item and all its pending requests
 // (blocking).
 //
-// The implementation is a deterministic discrete-event simulation: a single
-// seed reproduces the full event trajectory, whatever the policies.
+// One Server runs that algorithm for every driver: the simulator's arrival
+// generator on a private virtual clock (this file), cluster handoffs
+// (Inject, cell.go) and externally submitted requests on a caller's clock
+// (Submit, serve.go). Under the virtual clock the run is a deterministic
+// discrete-event simulation: a single seed reproduces the full event
+// trajectory, whatever the policies.
 package core
 
 import (
@@ -46,17 +50,20 @@ type pushWaiter struct {
 	joined float64
 	client int   // −1 when client identity is not tracked
 	span   int64 // span ID when the request is sampled, 0 otherwise
+	req    int64 // arena handle of a submitted request, 0 when generated
 }
 
-// Server is one configured simulation instance. All time access goes
-// through the clock.Clock interface; the sim instantiates it as a Virtual
-// clock (the serving mode's Realtime engine shares the same machinery on a
-// Wall clock).
+// Server is the paper's hybrid push/pull server: one push cycle, one pull
+// queue, one serial downlink. All time access goes through the clock.Clock
+// interface. A simulation Server owns a private Virtual clock and generates
+// its own arrivals (Run, or the cell lifecycle in cell.go); a serving Server
+// (Config.Clock set) has no arrival generator and runs on the caller's
+// clock, fed by Submit.
 type Server struct {
 	cfg      Config
-	cutoff   int         // effective K: 0 under the "none" push policy
-	clk      clock.Clock // the engine's only time source (s.vclk, as an interface)
-	vclk     *clock.Virtual
+	cutoff   int            // effective K: 0 under the "none" push policy
+	clk      clock.Clock    // the engine's only time source
+	vclk     *clock.Virtual // the private simulation clock; nil when serving
 	arrRng   *rng.Source
 	itemRng  *rng.Source
 	classRng *rng.Source
@@ -94,10 +101,12 @@ type Server struct {
 	splitAdmitBatches bool
 
 	// emitOn gates trace-event construction on the hot path: false when the
-	// tracer is the no-op sink and telemetry is off, where emit would copy a
-	// large Event struct per call only to discard it. Guarded sites are
+	// tracer is the no-op sink and telemetry is off, where emit would build
+	// a large Event struct per call only to discard it. Guarded sites are
 	// behavior-identical because emit has no side effects in that state.
-	emitOn bool
+	// tracing skips the no-op sink when only telemetry listens.
+	emitOn  bool
+	tracing bool
 
 	// Span provenance (nil spanRng = disabled; the zero cost of spans-off
 	// is a single nil check on the hot path).
@@ -120,6 +129,10 @@ type Server struct {
 	pullEntry *pullqueue.Entry // entry of the in-flight pull transmission
 	pullGrant *bandwidth.Grant // its bandwidth grant, nil without an allocator
 
+	// reqs holds the submitted requests awaiting their outcome (serve.go).
+	reqs    reqArena
+	stopped bool // Stop was called: the channel books nothing more
+
 	warmupEnd float64
 	metrics   *Metrics
 	idle      bool // only reachable when the effective cutoff is 0
@@ -131,12 +144,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
-	vclk := clock.NewVirtual()
 	s := &Server{
 		cfg:       cfg,
 		cutoff:    cfg.Cutoff,
-		clk:       vclk,
-		vclk:      vclk,
+		clk:       cfg.Clock,
 		arrRng:    root.Split("arrivals"),
 		itemRng:   root.Split("items"),
 		classRng:  root.Split("classes"),
@@ -175,17 +186,21 @@ func New(cfg Config) (*Server, error) {
 		s.alloc = a
 	}
 
-	s.arrivals = cfg.Arrivals
-	if s.arrivals == nil {
-		p, err := workload.NewPoisson(cfg.Lambda)
-		if err != nil {
-			return nil, err
+	if cfg.Clock == nil {
+		s.vclk = clock.NewVirtual()
+		s.clk = s.vclk
+		s.arrivals = cfg.Arrivals
+		if s.arrivals == nil {
+			p, err := workload.NewPoisson(cfg.Lambda)
+			if err != nil {
+				return nil, err
+			}
+			s.arrivals = p
 		}
-		s.arrivals = p
-	}
-	s.items = cfg.Items
-	if s.items == nil {
-		s.items = workload.StaticPopularity{Catalog: cfg.Catalog}
+		s.items = cfg.Items
+		if s.items == nil {
+			s.items = workload.StaticPopularity{Catalog: cfg.Catalog}
+		}
 	}
 	s.tracer = cfg.Tracer
 	if s.tracer == nil {
@@ -193,7 +208,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.tele = cfg.Telemetry
 	_, nop := s.tracer.(trace.Nop)
-	s.emitOn = !nop || s.tele != nil
+	s.tracing = !nop
+	s.emitOn = s.tracing || s.tele != nil
 	s.up = cfg.Uplink
 	if s.up == nil {
 		s.up = uplink.Unlimited{}
@@ -227,7 +243,15 @@ func New(cfg Config) (*Server, error) {
 	// spans-off run is bit-identical to a build without the span layer and
 	// a spans-on run is trajectory-identical (extra events, same draws).
 	if cfg.Spans != nil {
-		s.spanRng = root.Split("spans")
+		spanRoot := root
+		if cfg.Clock != nil {
+			// A serving Server samples from the first split of a fresh
+			// root at the seed — the stream a qosd spans seed names — so
+			// its sampled set does not depend on which other streams the
+			// engine splits (qosd's TestDaemonSpanSampling pins it).
+			spanRoot = rng.New(cfg.Seed)
+		}
+		s.spanRng = spanRoot.Split("spans")
 		s.spanIDBase = cfg.Spans.IDBase
 		s.spanRates = make([]float64, cfg.Classes.NumClasses())
 		for c := range s.spanRates {
@@ -255,11 +279,17 @@ func New(cfg Config) (*Server, error) {
 		s.admitBatch = false
 		s.scheduleNextArrival()
 	}
-	s.pushH = func() { s.completePush(s.pushItem) }
+	s.pushH = func() {
+		if !s.stopped {
+			s.completePush(s.pushItem)
+		}
+	}
 	s.pullH = func() {
 		entry, grant := s.pullEntry, s.pullGrant
 		s.pullEntry, s.pullGrant = nil, nil
-		s.completePull(entry, grant)
+		if !s.stopped {
+			s.completePull(entry, grant)
+		}
 	}
 
 	s.metrics = &Metrics{Horizon: cfg.Horizon, Cutoff: cfg.Cutoff}
@@ -283,8 +313,10 @@ func New(cfg Config) (*Server, error) {
 // the trace records them.
 //
 //qos:hotpath
-func (s *Server) emit(e trace.Event) {
-	s.tracer.Event(e)
+func (s *Server) emit(e *trace.Event) {
+	if s.tracing {
+		s.tracer.Event(*e)
+	}
 	trace.Apply(s.tele, e)
 }
 
@@ -318,7 +350,7 @@ func (s *Server) scheduleSnapshot(k int64) {
 		return
 	}
 	s.clk.At(t, func() {
-		s.emit(trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
+		s.emit(&trace.Event{T: t, Kind: trace.KindSnapshot, Class: -1, Snap: s.tele.TakeSnapshot(t)})
 		s.scheduleSnapshot(k + 1)
 	})
 }
@@ -385,6 +417,39 @@ func (s *Server) sampleSpan(class clients.Class) int64 {
 	return s.spanIDBase + s.spanNext
 }
 
+// arrive books one request reaching the server — generated, submitted or
+// refused by a serving driver — and makes its span sampling decision.
+//
+//qos:hotpath
+func (s *Server) arrive(now float64, item int, class clients.Class) int64 {
+	if now >= s.warmupEnd {
+		s.metrics.PerClass[class].Arrivals++
+	}
+	if s.emitOn {
+		s.emit(&trace.Event{T: now, Kind: trace.KindArrival, Item: item, Class: class})
+	}
+	return s.sampleSpan(class)
+}
+
+// spanStart emits the span-start provenance event of a sampled request
+// (no-op for span 0) with its routing verdict.
+//
+//qos:hotpath
+func (s *Server) spanStart(now float64, item int, class clients.Class, span int64, verdict string) {
+	if span != 0 && s.emitOn {
+		s.emit(&trace.Event{T: now, Kind: trace.KindSpanStart, Item: item, Class: class, Req: span, Reason: verdict})
+	}
+}
+
+// addPushWaiter registers a request for the next broadcast of push item
+// rank.
+//
+//qos:hotpath
+func (s *Server) addPushWaiter(rank int, w pushWaiter) {
+	//lint:allow hotalloc amortized: waiter slices reset to length 0 on drain and reuse capacity across cycles
+	s.pushWaiters[rank] = append(s.pushWaiters[rank], w)
+}
+
 // handleArrival draws the request's item and class and routes it.
 //
 //qos:hotpath
@@ -392,13 +457,7 @@ func (s *Server) handleArrival() {
 	now := s.clk.Now()
 	rank := s.items.SampleItem(s.itemRng, now)
 	class := s.cfg.Classes.SampleClass(s.classRng)
-	if now >= s.warmupEnd {
-		s.metrics.PerClass[class].Arrivals++
-	}
-	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindArrival, Item: rank, Class: class})
-	}
-	span := s.sampleSpan(class)
+	span := s.arrive(now, rank, class)
 	clientID := -1
 	if s.caches != nil {
 		clientID = s.clientRng.Intn(s.caches.Size())
@@ -412,11 +471,11 @@ func (s *Server) handleArrival() {
 				cm.DelayHist.Add(0)
 			}
 			if s.emitOn {
-				s.emit(trace.Event{T: now, Kind: trace.KindServed, Class: class, Arrival: now})
+				s.emit(&trace.Event{T: now, Kind: trace.KindServed, Class: class, Arrival: now})
 			}
+			s.spanStart(now, rank, class, span, trace.VerdictCache)
 			if span != 0 && s.emitOn {
-				s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictCache})
-				s.emit(trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndServed, Arrival: now, Start: now})
+				s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndServed, Arrival: now, Start: now})
 			}
 			return
 		}
@@ -424,22 +483,17 @@ func (s *Server) handleArrival() {
 	if rank <= s.cutoff {
 		// Push item: the server ignores the request (flat broadcast will
 		// deliver it); the simulator tracks the waiter to measure delay.
-		if span != 0 && s.emitOn {
-			s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPush})
-		}
-		//lint:allow hotalloc amortized: waiter slices reset to length 0 on drain and reuse capacity across cycles
-		s.pushWaiters[rank] = append(s.pushWaiters[rank], pushWaiter{class: class, arrival: now, joined: now, client: clientID, span: span})
+		s.spanStart(now, rank, class, span, trace.VerdictPush)
+		s.addPushWaiter(rank, pushWaiter{class: class, arrival: now, joined: now, client: clientID, span: span})
 		return
 	}
-	if span != 0 && s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindSpanStart, Item: rank, Class: class, Req: span, Reason: trace.VerdictPull})
-	}
+	s.spanStart(now, rank, class, span, trace.VerdictPull)
 	if !s.up.TryRequest(now, s.uplinkRng) {
 		if now >= s.warmupEnd {
 			s.metrics.PerClass[class].UplinkLost++
 		}
 		if span != 0 && s.emitOn {
-			s.emit(trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndUplinkLost, Arrival: now})
+			s.emit(&trace.Event{T: now, Kind: trace.KindSpanEnd, Item: rank, Class: class, Req: span, Reason: trace.EndUplinkLost, Arrival: now})
 		}
 		return
 	}
@@ -468,7 +522,7 @@ func (s *Server) enqueuePull(req pullqueue.Request) {
 		// quantity the next extraction decision will rank it by.
 		now := s.clk.Now()
 		if e := s.selector.Entry(req.Item); e != nil {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindSpanEnqueue, Item: req.Item, Class: req.Class,
 				Req: req.Tag, Score: s.selector.Score(e, now), Requests: e.NumRequests(),
 			})
@@ -529,10 +583,10 @@ func (s *Server) shedPull(req pullqueue.Request, now float64) bool {
 		s.metrics.PerClass[req.Class].Shed++
 	}
 	if s.emitOn {
-		s.emit(trace.Event{T: now, Kind: trace.KindShed, Item: req.Item, Class: req.Class})
+		s.emit(&trace.Event{T: now, Kind: trace.KindShed, Item: req.Item, Class: req.Class})
 	}
 	if req.Tag != 0 && s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindSpanEnd, Item: req.Item, Class: req.Class,
 			Req: req.Tag, Reason: trace.EndShed, Arrival: req.Arrival,
 		})
@@ -559,7 +613,7 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 		if r.Tag != 0 && s.emitOn {
 			// The client gives up at its deadline rather than booking a
 			// retry that would land past it.
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
 				Req: r.Tag, Reason: trace.EndExpired, Arrival: r.Arrival,
 			})
@@ -571,7 +625,7 @@ func (s *Server) retryAfterLoss(r pullqueue.Request, now float64) bool {
 		s.metrics.PerClass[r.Class].Retries++
 	}
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindRetry, Item: r.Item, Class: r.Class, Attempt: r.Attempts,
 		})
 	}
@@ -598,7 +652,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 	if r.Tag != 0 && s.emitOn {
 		// The backoff segment ends here; what follows (uplink, admission,
 		// enqueue) decides the next segment, exactly like a fresh arrival.
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindSpanRetry, Item: r.Item, Class: r.Class,
 			Req: r.Tag, Attempt: r.Attempts,
 		})
@@ -609,7 +663,7 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 				s.metrics.PerClass[r.Class].UplinkLost++
 			}
 			if r.Tag != 0 && s.emitOn {
-				s.emit(trace.Event{
+				s.emit(&trace.Event{
 					T: now, Kind: trace.KindSpanEnd, Item: r.Item, Class: r.Class,
 					Req: r.Tag, Reason: trace.EndUplinkLost, Arrival: r.Arrival,
 				})
@@ -629,10 +683,13 @@ func (s *Server) handleRetry(r pullqueue.Request) {
 //
 //qos:hotpath
 func (s *Server) startPush() {
+	if s.stopped {
+		return
+	}
 	item := s.pushSched.Next()
 	length := s.cfg.Catalog.Length(item)
 	if s.emitOn {
-		s.emit(trace.Event{T: s.clk.Now(), Kind: trace.KindPushStart, Item: item, Class: -1})
+		s.emit(&trace.Event{T: s.clk.Now(), Kind: trace.KindPushStart, Item: item, Class: -1})
 	}
 	s.pushItem = item
 	s.clk.After(length, s.pushH)
@@ -650,7 +707,7 @@ func (s *Server) completePush(item int) {
 		// the item's next push cycle; no cache fills, no PIX update.
 		s.metrics.CorruptedPushes++
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: item, Class: -1,
 				Push: true, Requests: len(s.pushWaiters[item]),
 			})
@@ -660,7 +717,7 @@ func (s *Server) completePush(item int) {
 	}
 	s.noteTransmission(item)
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindPushComplete, Item: item, Class: -1,
 			Requests: len(s.pushWaiters[item]),
 		})
@@ -674,7 +731,7 @@ func (s *Server) completePush(item int) {
 			// registration, not at the transmission start.
 			ws = w.joined
 		}
-		s.recordServed(w.class, w.arrival, now, true, item, w.span, ws)
+		s.recordServed(w.class, w.arrival, now, true, item, w.span, ws, w.req)
 		s.fillCache(w.client, item, now)
 	}
 	s.pushWaiters[item] = s.pushWaiters[item][:0]
@@ -683,10 +740,15 @@ func (s *Server) completePush(item int) {
 
 // attemptPull serves the best pull entry if one exists and bandwidth allows,
 // otherwise returns control to the push system (or idles when the effective
-// cutoff is 0).
+// cutoff is 0). An entry whose every request is a submitted one that
+// already resolved is recycled untransmitted: its callers were answered at
+// their deadlines, so broadcasting the item would serve no one.
 //
 //qos:hotpath
 func (s *Server) attemptPull() {
+	if s.stopped {
+		return
+	}
 	for {
 		entry := s.selector.ExtractBest(s.clk.Now())
 		if entry == nil {
@@ -697,6 +759,10 @@ func (s *Server) attemptPull() {
 			}
 			return
 		}
+		if s.allResolved(entry) {
+			s.selector.Recycle(entry)
+			continue
+		}
 		s.observeQueue()
 
 		var grant *bandwidth.Grant
@@ -706,7 +772,7 @@ func (s *Server) attemptPull() {
 				// Paper: the item and all its pending requests are lost.
 				s.metrics.BlockedTransmissions++
 				if s.emitOn {
-					s.emit(trace.Event{
+					s.emit(&trace.Event{
 						T: s.clk.Now(), Kind: trace.KindBlocked, Item: entry.Item,
 						Class: entry.HighestClass(), Requests: len(entry.Requests),
 					})
@@ -716,7 +782,7 @@ func (s *Server) attemptPull() {
 						s.metrics.PerClass[r.Class].Dropped++
 					}
 					if r.Tag != 0 && s.emitOn {
-						s.emit(trace.Event{
+						s.emit(&trace.Event{
 							T: s.clk.Now(), Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
 							Req: r.Tag, Reason: trace.EndBlocked, Arrival: r.Arrival,
 						})
@@ -741,7 +807,7 @@ func (s *Server) attemptPull() {
 
 		s.emitDecision(entry)
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: s.clk.Now(), Kind: trace.KindPullStart, Item: entry.Item,
 				Class: entry.HighestClass(), Requests: len(entry.Requests),
 			})
@@ -752,6 +818,24 @@ func (s *Server) attemptPull() {
 		s.clk.After(entry.Length, s.pullH)
 		return
 	}
+}
+
+// allResolved reports whether every request in the entry is a submitted
+// request that already reached its outcome. Generated requests (handle 0)
+// never resolve early, so a simulation never recycles an entry here.
+//
+//qos:hotpath
+func (s *Server) allResolved(entry *pullqueue.Entry) bool {
+	for i := range entry.Requests {
+		h := entry.Requests[i].Handle
+		if h == 0 {
+			return false
+		}
+		if _, live := s.reqs.lookup(h); live {
+			return false
+		}
+	}
+	return true
 }
 
 // emitDecision records scheduler decision provenance for a pull extraction
@@ -785,7 +869,7 @@ func (s *Server) emitDecision(entry *pullqueue.Entry) {
 		ev.RunnerUp = ru.Item
 		ev.RunnerUpScore = s.selector.Score(ru, now)
 	}
-	s.emit(ev)
+	s.emit(&ev)
 }
 
 // completePull satisfies all of the entry's pending requests and hands the
@@ -800,7 +884,7 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 		// client re-request (bounded backoff) or fails terminally.
 		s.metrics.CorruptedPulls++
 		if s.emitOn {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: now, Kind: trace.KindCorrupt, Item: entry.Item,
 				Class: entry.HighestClass(), Requests: len(entry.Requests),
 			})
@@ -811,7 +895,7 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 			if r.Tag != 0 && s.emitOn {
 				// The failed service segment: transmission start to the
 				// corruption being detected at completion.
-				s.emit(trace.Event{
+				s.emit(&trace.Event{
 					T: now, Kind: trace.KindSpanLoss, Item: entry.Item, Class: r.Class,
 					Req: r.Tag, Start: now - entry.Length, Attempt: r.Attempts + 1,
 				})
@@ -821,7 +905,7 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 					s.metrics.PerClass[r.Class].Failed++
 				}
 				if r.Tag != 0 && s.emitOn {
-					s.emit(trace.Event{
+					s.emit(&trace.Event{
 						T: now, Kind: trace.KindSpanEnd, Item: entry.Item, Class: r.Class,
 						Req: r.Tag, Reason: trace.EndFailed, Arrival: r.Arrival,
 					})
@@ -842,13 +926,13 @@ func (s *Server) completePull(entry *pullqueue.Entry, grant *bandwidth.Grant) {
 	}
 	s.noteTransmission(entry.Item)
 	if s.emitOn {
-		s.emit(trace.Event{
+		s.emit(&trace.Event{
 			T: now, Kind: trace.KindPullComplete, Item: entry.Item,
 			Class: entry.HighestClass(), Requests: len(entry.Requests),
 		})
 	}
 	for _, r := range entry.Requests {
-		s.recordServed(r.Class, r.Arrival, now, false, entry.Item, r.Tag, now-entry.Length)
+		s.recordServed(r.Class, r.Arrival, now, false, entry.Item, r.Tag, now-entry.Length, r.Handle)
 		s.fillCache(r.Client, entry.Item, now)
 	}
 	s.selector.Recycle(entry)
@@ -904,46 +988,64 @@ func (s *Server) CacheHitRate() float64 {
 // completed is counted as Expired instead. span and start carry span
 // provenance for sampled requests (0s otherwise): the span ID and the
 // request's service-segment start time — transmission start, or the
-// request's own arrival when it joined a broadcast already in flight.
+// request's own arrival when it joined a broadcast already in flight. h is
+// a submitted request's arena handle (0 when generated): a live one has
+// its expiry cancelled and its caller answered; a stale one already
+// resolved at its deadline and is skipped.
 //
 //qos:hotpath
-func (s *Server) recordServed(class clients.Class, arrival, completion float64, push bool, item int, span int64, start float64) {
+func (s *Server) recordServed(class clients.Class, arrival, completion float64, push bool, item int, span int64, start float64, h int64) {
+	slot := int32(-1)
+	if h != 0 {
+		live, ok := s.reqs.lookup(h)
+		if !ok {
+			return
+		}
+		slot = live
+		s.clk.Cancel(s.reqs.expiry[slot])
+	}
 	d := completion - arrival
 	expired := s.cfg.RequestTTL > 0 && d > s.cfg.RequestTTL
 	if span != 0 && s.emitOn {
 		if expired {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: completion, Kind: trace.KindSpanEnd, Item: item, Class: class,
 				Req: span, Reason: trace.EndExpired, Arrival: arrival, Start: start,
 			})
 		} else {
-			s.emit(trace.Event{
+			s.emit(&trace.Event{
 				T: completion, Kind: trace.KindSpanEnd, Item: item, Class: class,
 				Req: span, Reason: trace.EndServed, Arrival: arrival, Start: start, Push: push,
 			})
 		}
 	}
-	if arrival < s.warmupEnd {
-		return
+	if arrival >= s.warmupEnd {
+		cm := s.metrics.PerClass[class]
+		if expired {
+			cm.Expired++
+		} else {
+			cm.Served++
+			cm.Delay.Add(d)
+			cm.DelayHist.Add(d)
+			if s.emitOn {
+				s.emit(&trace.Event{
+					T: completion, Kind: trace.KindServed, Class: class,
+					Arrival: arrival, Push: push,
+				})
+			}
+			if push {
+				cm.PushDelay.Add(d)
+			} else {
+				cm.PullDelay.Add(d)
+			}
+		}
 	}
-	cm := s.metrics.PerClass[class]
-	if expired {
-		cm.Expired++
-		return
-	}
-	cm.Served++
-	cm.Delay.Add(d)
-	cm.DelayHist.Add(d)
-	if s.emitOn {
-		s.emit(trace.Event{
-			T: completion, Kind: trace.KindServed, Class: class,
-			Arrival: arrival, Push: push,
-		})
-	}
-	if push {
-		cm.PushDelay.Add(d)
-	} else {
-		cm.PullDelay.Add(d)
+	if slot >= 0 {
+		if expired {
+			s.finish(slot, Result{Outcome: OutcomeExpired})
+		} else {
+			s.finish(slot, Result{Outcome: OutcomeServed, Delay: d, Push: push})
+		}
 	}
 }
 

@@ -50,10 +50,15 @@ type Request struct {
 	// Attempts counts the re-requests already made for this request after
 	// corrupted deliveries on a lossy downlink (0 for a first attempt).
 	Attempts int
-	// Tag is an opaque caller identifier carried through the queue. The
-	// simulator leaves it 0; the serving mode uses it to map a delivered
-	// request back to the live connection waiting on it.
+	// Tag is the request's span ID when it was head-sampled for span
+	// provenance, 0 otherwise. The queue only carries it; the engine reads
+	// it to emit span events and decision provenance.
 	Tag int64
+	// Handle is the engine's arena handle for a request entered through
+	// core.Server.Submit, 0 for a generated or handed-off request. The
+	// queue only carries it; on delivery the engine resolves it to the
+	// waiting caller.
+	Handle int64
 }
 
 // Entry aggregates the pending requests for one item.

@@ -73,9 +73,6 @@ type Config struct {
 	DefaultClass *int `json:"default_class,omitempty"`
 	// Admission configures the class-aware front door.
 	Admission AdmissionConfig `json:"admission"`
-	// SnapshotEvery is the telemetry snapshot cadence in broadcast units
-	// (0 disables periodic snapshots; /metrics snapshots on demand).
-	SnapshotEvery float64 `json:"snapshot_every,omitempty"`
 	// Spans enables per-request span recording, served at /debug/spans.
 	Spans *SpansConfig `json:"spans,omitempty"`
 }
@@ -186,9 +183,6 @@ func (c Config) Validate() error {
 		if cls := c.Keys[k]; cls < 0 || cls >= numClasses {
 			return fmt.Errorf("qosd: key %q maps to class %d outside [0,%d)", k, cls, numClasses)
 		}
-	}
-	if c.SnapshotEvery < 0 || math.IsNaN(c.SnapshotEvery) || math.IsInf(c.SnapshotEvery, 0) {
-		return fmt.Errorf("qosd: invalid snapshot cadence %g", c.SnapshotEvery)
 	}
 	if s := c.Spans; s != nil {
 		if s.Rate < 0 || s.Rate > 1 || math.IsNaN(s.Rate) {

@@ -1,7 +1,7 @@
-// Package qosd is the serving daemon behind cmd/qosd: the hybrid push/pull
-// scheduler (core.Realtime) mounted on a clock, fronted by API-key →
-// service-class authentication and class-aware admission control, exposed
-// over HTTP.
+// Package qosd is the serving daemon behind cmd/qosd: the paper's hybrid
+// push/pull scheduler (a core.Server, fed through its Submit driver)
+// mounted on a clock, fronted by API-key → service-class authentication
+// and class-aware admission control, exposed over HTTP.
 //
 // The daemon is clock-agnostic: cmd/qosd runs it on a Wall clock with
 // Wall.Submit bridging HTTP handler goroutines onto the engine loop, while
@@ -22,9 +22,9 @@ import (
 	"hybridqos/internal/clients"
 	"hybridqos/internal/clock"
 	"hybridqos/internal/core"
-	"hybridqos/internal/rng"
 	"hybridqos/internal/span"
 	"hybridqos/internal/telemetry"
+	"hybridqos/internal/trace"
 )
 
 // daemon states, tracked atomically so /readyz answers from any goroutine
@@ -35,6 +35,15 @@ const (
 	stateDraining
 	stateDrained
 )
+
+// delayHistBound caps the engine's per-class delay histograms, so a
+// long-running daemon keeps a fixed-size reservoir of delay samples rather
+// than one per served request.
+const delayHistBound = 1024
+
+// defaultSpanBuffer is the /debug/spans ring capacity when the config
+// leaves it 0.
+const defaultSpanBuffer = 64
 
 // Response is the JSON body answering /request.
 type Response struct {
@@ -51,16 +60,22 @@ type Response struct {
 
 // Daemon wires the serving engine to HTTP.
 type Daemon struct {
-	cfg  Config
-	cat  *catalog.Catalog
-	clk  clock.Clock
-	exec func(func())
-	rt   *core.Realtime
-	tele *telemetry.Collector
+	cat   *catalog.Catalog
+	clk   clock.Clock
+	exec  func(func())
+	srv   *core.Server
+	ctl   *admission.Controller
+	tele  *telemetry.Collector
+	spans *spanRing // nil when span recording is off
 
 	keys         map[string]int
 	defaultClass int
 	state        atomic.Int32
+
+	// Clock-goroutine state.
+	pending   int // admitted requests not yet answered
+	draining  bool
+	onDrained func()
 }
 
 // New builds a Daemon on the given clock. exec must run its argument on
@@ -85,11 +100,23 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	tele, err := telemetry.New(telemetry.Options{SnapshotEvery: cfg.SnapshotEvery})
+	ctl, err := admission.New(cfg.admissionConfig())
+	if err != nil {
+		return nil, err
+	}
+	tele, err := telemetry.New(telemetry.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("qosd: %w", err)
 	}
-	rtc := core.RealtimeConfig{
+	d := &Daemon{
+		cat:          cat,
+		clk:          clk,
+		exec:         exec,
+		ctl:          ctl,
+		tele:         tele,
+		defaultClass: cfg.defaultClass(),
+	}
+	ccfg := core.Config{
 		Catalog:        cat,
 		Classes:        cls,
 		Cutoff:         cfg.Cutoff,
@@ -98,41 +125,38 @@ func New(cfg Config, clk clock.Clock, exec func(func())) (*Daemon, error) {
 		PushPolicyName: cfg.PushPolicy,
 		PushDisks:      cfg.PushDisks,
 		Clock:          clk,
-		Admission:      cfg.admissionConfig(),
 		Telemetry:      tele,
+		DelayHistBound: delayHistBound,
 	}
 	if sc := cfg.Spans; sc != nil && sc.Rate > 0 {
-		rtc.Spans = &core.RealtimeSpanConfig{
-			Rate:   sc.Rate,
-			Buffer: sc.Buffer,
-			RNG:    rng.New(sc.Seed).Split("spans"),
+		rates := make([]float64, len(cfg.ClassWeights))
+		for c := range rates {
+			rates[c] = sc.Rate
 		}
+		ccfg.Spans = &core.SpanConfig{Rates: rates}
+		ccfg.Seed = sc.Seed
+		buffer := sc.Buffer
+		if buffer == 0 {
+			buffer = defaultSpanBuffer
+		}
+		d.spans = &spanRing{buf: make([]*span.Span, 0, buffer)}
+		ccfg.Tracer = span.NewRecorder(d.spans.add)
 	}
-	rt, err := core.NewRealtime(rtc)
-	if err != nil {
+	if d.srv, err = core.New(ccfg); err != nil {
 		return nil, err
 	}
-	keys := make(map[string]int, len(cfg.Keys))
+	d.keys = make(map[string]int, len(cfg.Keys))
 	for _, k := range sortedKeys(cfg.Keys) {
-		keys[k] = cfg.Keys[k]
+		d.keys[k] = cfg.Keys[k]
 	}
-	return &Daemon{
-		cfg:          cfg,
-		cat:          cat,
-		clk:          clk,
-		exec:         exec,
-		rt:           rt,
-		tele:         tele,
-		keys:         keys,
-		defaultClass: cfg.defaultClass(),
-	}, nil
+	return d, nil
 }
 
 // Start launches the engine's broadcast loop on the clock goroutine and
 // marks the daemon ready.
 func (d *Daemon) Start() {
 	d.exec(func() {
-		d.rt.Start()
+		d.srv.Start()
 		d.state.Store(stateReady)
 	})
 }
@@ -142,24 +166,40 @@ func (d *Daemon) Start() {
 // /request calls are answered 503 immediately.
 func (d *Daemon) Drain(onDrained func()) {
 	d.exec(func() {
-		if d.rt.Draining() {
+		if d.draining {
 			return
 		}
+		d.draining = true
+		d.onDrained = onDrained
 		d.state.Store(stateDraining)
-		d.rt.Drain(func() {
-			d.state.Store(stateDrained)
-			if onDrained != nil {
-				onDrained()
-			}
-		})
+		d.tele.ObserveDraining(true)
+		if d.pending == 0 {
+			d.finishDrain()
+		}
 	})
+}
+
+// finishDrain stops the engine — a transmission still in flight completes
+// as a no-op — and reports drain completion.
+func (d *Daemon) finishDrain() {
+	d.srv.Stop()
+	d.state.Store(stateDrained)
+	if d.onDrained != nil {
+		d.onDrained()
+	}
 }
 
 // Telemetry exposes the daemon's collector (tests, embedding).
 func (d *Daemon) Telemetry() *telemetry.Collector { return d.tele }
 
-// Engine exposes the underlying realtime engine (tests, embedding).
-func (d *Daemon) Engine() *core.Realtime { return d.rt }
+// Spans returns the most recent completed spans, oldest first (nil with
+// span recording off). Call it on the clock goroutine.
+func (d *Daemon) Spans() []*span.Span {
+	if d.spans == nil {
+		return nil
+	}
+	return d.spans.list()
+}
 
 // classOf resolves an API key to a service class; ok=false means reject.
 func (d *Daemon) classOf(key string) (int, bool) {
@@ -172,15 +212,15 @@ func (d *Daemon) classOf(key string) (int, bool) {
 	return -1, false
 }
 
-// Serve runs one parsed, authenticated request through the engine and
-// reports the HTTP status and body via respond — synchronously for
-// refusals, from a later clock event for admitted requests. Serve must be
-// called on the clock goroutine; ServeHTTP bridges via exec. This is the
+// Serve runs one parsed, authenticated request through admission and the
+// engine and reports the HTTP status and body via respond — synchronously
+// for refusals, from a later clock event for admitted requests. Serve must
+// be called on the clock goroutine; ServeHTTP bridges via exec. This is the
 // entry point the virtual-clock chaos tests drive.
 func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Response)) {
-	if d.rt.Draining() {
+	if d.draining {
 		d.tele.Rejected(class)
-		d.rt.RefuseDraining(req.Item, clients.Class(class))
+		d.srv.Refuse(req.Item, clients.Class(class), trace.EndDraining)
 		respond(http.StatusServiceUnavailable, Response{Outcome: "draining", Class: class})
 		return
 	}
@@ -188,26 +228,69 @@ func (d *Daemon) Serve(req Request, class int, respond func(status int, resp Res
 		respond(http.StatusBadRequest, Response{Outcome: "bad_item", Class: class})
 		return
 	}
-	verdict := d.rt.Submit(core.RealtimeRequest{
-		Item:       req.Item,
-		Class:      clients.Class(class),
-		DeadlineIn: req.DeadlineIn,
-		Done: func(res core.Result) {
-			if res.Outcome == core.OutcomeServed {
-				respond(http.StatusOK, Response{
-					Outcome:    "served",
-					Class:      class,
-					DelayUnits: res.Delay,
-					Push:       res.Push,
-				})
-			} else {
-				respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
-			}
-		},
-	})
+	now := d.clk.Now()
+	verdict := d.ctl.Admit(now, class, d.pending)
+	d.tele.ObserveShedLevel(d.ctl.ShedLevel())
 	if verdict != admission.Admitted {
+		outcome := trace.EndRejected
+		switch verdict {
+		case admission.ShedOverload:
+			d.tele.Shed(class)
+			outcome = trace.EndShed
+		case admission.RateLimited:
+			d.tele.RateLimited(class)
+		case admission.QuotaExceeded:
+			d.tele.QuotaExceeded(class)
+		}
+		d.srv.Refuse(req.Item, clients.Class(class), outcome)
 		respond(http.StatusTooManyRequests, Response{Outcome: verdict.String(), Class: class})
+		return
 	}
+	budget := d.ctl.Deadline(class)
+	if req.DeadlineIn > 0 && req.DeadlineIn < budget {
+		budget = req.DeadlineIn
+	}
+	d.pending++
+	d.srv.Submit(req.Item, clients.Class(class), now+budget, func(res core.Result) {
+		d.ctl.Release(class)
+		d.pending--
+		if res.Outcome == core.OutcomeServed {
+			respond(http.StatusOK, Response{
+				Outcome:    "served",
+				Class:      class,
+				DelayUnits: res.Delay,
+				Push:       res.Push,
+			})
+		} else {
+			respond(http.StatusGatewayTimeout, Response{Outcome: "expired", Class: class})
+		}
+		if d.draining && d.pending == 0 {
+			d.finishDrain()
+		}
+	})
+}
+
+// spanRing keeps the most recent completed spans for /debug/spans.
+type spanRing struct {
+	buf  []*span.Span
+	head int // oldest span once the ring is full
+}
+
+// add records a completed span, evicting the oldest.
+func (r *spanRing) add(sp *span.Span) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, sp)
+		return
+	}
+	r.buf[r.head] = sp
+	r.head = (r.head + 1) % len(r.buf)
+}
+
+// list returns the buffered spans, oldest first.
+func (r *spanRing) list() []*span.Span {
+	out := make([]*span.Span, 0, len(r.buf))
+	out = append(out, r.buf[r.head:]...)
+	return append(out, r.buf[:r.head]...)
 }
 
 // Handler returns the daemon's HTTP mux:
@@ -264,7 +347,8 @@ func (d *Daemon) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	class, ok := d.classOf(r.Header.Get("X-API-Key"))
 	if !ok {
-		d.tele.Rejected(telemetry.ClassNone)
+		// The collector belongs to the clock goroutine, like the engine.
+		d.exec(func() { d.tele.Rejected(telemetry.ClassNone) })
 		http.Error(w, "unknown API key", http.StatusUnauthorized)
 		return
 	}
@@ -318,8 +402,8 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Write(out.body)
 }
 
-// handleSpans snapshots the engine's completed-span ring on the clock
-// goroutine and serves it as a JSON array, oldest span first.
+// handleSpans snapshots the completed-span ring on the clock goroutine and
+// serves it as a JSON array, oldest span first.
 func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	if d.state.Load() == stateDrained {
 		// The clock loop may already be stopped; nothing left to ask.
@@ -327,7 +411,7 @@ func (d *Daemon) handleSpans(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	ch := make(chan []*span.Span, 1)
-	d.exec(func() { ch <- d.rt.Spans() })
+	d.exec(func() { ch <- d.Spans() })
 	spans := <-ch
 	if spans == nil {
 		spans = []*span.Span{}

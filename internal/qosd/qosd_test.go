@@ -2,6 +2,7 @@ package qosd
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"hybridqos/internal/clock"
+	"hybridqos/internal/rng"
 	"hybridqos/internal/span"
 	"hybridqos/internal/telemetry"
 	"hybridqos/internal/trace"
@@ -17,8 +19,7 @@ import (
 
 // testConfig is a small pull-only daemon: unit-length items, three classes
 // confined to disjoint hundred-item bands by the load generators, shedding
-// enabled. Mirrors the core.Realtime overload scenario so daemon-level
-// results are comparable.
+// enabled.
 func testConfig() Config {
 	return Config{
 		Catalog:      CatalogConfig{D: 300, Theta: 0.5, MinLen: 1, MaxLen: 1, Seed: 7},
@@ -89,7 +90,9 @@ func TestParseConfigErrors(t *testing.T) {
 		{"default class out of range", mutate(func(c *Config) { dc := 3; c.DefaultClass = &dc })},
 		{"too many admission classes", mutate(func(c *Config) { c.Admission.Classes = make([]ClassAdmission, 4) })},
 		{"no deadline", mutate(func(c *Config) { c.Admission.DefaultDeadline = 0 })},
-		{"negative snapshot cadence", mutate(func(c *Config) { c.SnapshotEvery = -1 })},
+		// snapshot_every is not a daemon setting: a config carrying it is
+		// refused like any other unknown key.
+		{"retired snapshot_every", []byte(`{"catalog":{"d":10,"theta":0.5,"min_len":1,"max_len":1},"class_weights":[2,1],"unit_ms":1,"admission":{"default_deadline":5},"snapshot_every":100}`)},
 	}
 	for _, tc := range cases {
 		if _, err := ParseConfig(tc.data); err == nil {
@@ -315,12 +318,13 @@ func TestDaemonDrain(t *testing.T) {
 		class := k % 3
 		v.At(0.02*float64(k), func() {
 			submitted++
+			deadlineAt := v.Now() + deadline
 			d.Serve(Request{Item: item}, class, func(status int, resp Response) {
 				switch status {
 				case http.StatusOK, http.StatusGatewayTimeout:
 					answered++
-					if v.Now() > 4+deadline {
-						t.Errorf("request resolved at t=%g, past drain deadline bound", v.Now())
+					if v.Now() > deadlineAt {
+						t.Errorf("request resolved at t=%g, past its deadline %g", v.Now(), deadlineAt)
 					}
 				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 					refused++
@@ -423,17 +427,25 @@ func TestDaemonHTTPStateShortCircuits(t *testing.T) {
 	}
 }
 
-// TestDaemonSpans: with spans enabled, served, expired and drain-refused
-// requests all land in the engine's span ring with verified segment tiling
-// — the drain-time refusal carrying the "draining" terminal taxonomy — and
-// /debug/spans serves them as JSON.
+// TestDaemonSpans: with spans enabled, served, expired, rate-limited and
+// drain-refused requests all land in the span ring with verified segment
+// tiling — refusals carrying their terminal taxonomy and the verdict the
+// request would have been routed by — and /debug/spans serves them as JSON.
 func TestDaemonSpans(t *testing.T) {
 	cfg := testConfig()
+	cfg.Cutoff = 3
+	// Class 2 holds one token: its second request is rate-limited.
+	cfg.Admission.Classes = []ClassAdmission{{}, {}, {Rate: 1e-6, Burst: 1}}
 	cfg.Spans = &SpansConfig{Rate: 1, Buffer: 16}
 	d, v := inlineDaemon(t, cfg)
 
 	d.Serve(Request{Item: 5}, 0, func(int, Response) {})
 	d.Serve(Request{Item: 250, DeadlineIn: 0.5}, 2, func(int, Response) {})
+	d.Serve(Request{Item: 2}, 2, func(status int, resp Response) {
+		if status != http.StatusTooManyRequests || resp.Outcome != "rate_limited" {
+			t.Errorf("second class-2 request answered %d %q", status, resp.Outcome)
+		}
+	})
 	v.RunUntil(5)
 
 	// The span ring is live over HTTP before drain.
@@ -446,30 +458,41 @@ func TestDaemonSpans(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
 		t.Fatalf("/debug/spans body: %v\n%s", err, rec.Body.String())
 	}
-	if len(served) != 2 {
-		t.Fatalf("/debug/spans returned %d spans, want 2:\n%s", len(served), rec.Body.String())
+	if len(served) != 3 {
+		t.Fatalf("/debug/spans returned %d spans, want 3:\n%s", len(served), rec.Body.String())
 	}
 
 	v.At(6, func() {
 		d.Drain(nil)
-		d.Serve(Request{Item: 7}, 1, func(status int, resp Response) {
-			if status != http.StatusServiceUnavailable || resp.Outcome != "draining" {
-				t.Errorf("drain-time request answered %d %q", status, resp.Outcome)
-			}
-		})
+		for _, item := range []int{7, 1} {
+			d.Serve(Request{Item: item}, 1, func(status int, resp Response) {
+				if status != http.StatusServiceUnavailable || resp.Outcome != "draining" {
+					t.Errorf("drain-time request answered %d %q", status, resp.Outcome)
+				}
+			})
+		}
 	})
 	v.RunUntil(100)
 
-	spans := d.Engine().Spans()
+	spans := d.Spans()
 	if err := span.Verify(spans); err != nil {
 		t.Fatal(err)
 	}
 	outcomes := map[string]int{}
 	for _, sp := range spans {
 		outcomes[sp.Outcome]++
+		// Refusals keep the routing verdict: items 1..3 are broadcast.
+		want := trace.VerdictPull
+		if sp.Item <= cfg.Cutoff {
+			want = trace.VerdictPush
+		}
+		if sp.Verdict != want {
+			t.Errorf("span for item %d (%s) has verdict %q, want %q", sp.Item, sp.Outcome, sp.Verdict, want)
+		}
 	}
-	if outcomes[trace.EndServed] != 1 || outcomes[trace.EndExpired] != 1 || outcomes[trace.EndDraining] != 1 {
-		t.Fatalf("span outcomes %v, want one each of served/expired/draining", outcomes)
+	if outcomes[trace.EndServed] != 1 || outcomes[trace.EndExpired] != 1 ||
+		outcomes[trace.EndRejected] != 1 || outcomes[trace.EndDraining] != 2 {
+		t.Fatalf("span outcomes %v, want served/expired/rejected once and draining twice", outcomes)
 	}
 	for _, sp := range spans {
 		if sp.Outcome != trace.EndServed {
@@ -500,5 +523,113 @@ func TestDaemonDefaultClass(t *testing.T) {
 	}
 	if class, ok := d.classOf("gold"); !ok || class != 0 {
 		t.Errorf("classOf(gold) = %d,%v; want 0,true", class, ok)
+	}
+}
+
+// TestDaemonDrainIdle: draining a daemon with nothing in flight completes
+// synchronously and stops the engine.
+func TestDaemonDrainIdle(t *testing.T) {
+	d, _ := inlineDaemon(t, testConfig())
+	done := false
+	d.Drain(func() { done = true })
+	if !done {
+		t.Fatal("idle drain did not complete synchronously")
+	}
+	if got := d.state.Load(); got != stateDrained {
+		t.Errorf("daemon state %d after idle drain, want drained", got)
+	}
+}
+
+// TestDaemonQuotaReleasedOnExpiry: expiry returns the quota slot, so a
+// class locked at its pending quota recovers once its stuck requests time
+// out.
+func TestDaemonQuotaReleasedOnExpiry(t *testing.T) {
+	cfg := testConfig()
+	cfg.Admission.DefaultDeadline = 3
+	cfg.Admission.Classes = []ClassAdmission{{MaxPending: 2}}
+	d, v := inlineDaemon(t, cfg)
+	answers := map[string]int{}
+	submit := func(item int) {
+		d.Serve(Request{Item: item}, 0, func(_ int, resp Response) { answers[resp.Outcome]++ })
+	}
+	v.At(0.5, func() {
+		// Two requests fill the quota; the third is refused.
+		submit(2)
+		submit(3)
+		submit(4)
+		if answers["quota_exceeded"] != 1 {
+			t.Errorf("over-quota request not refused: %v", answers)
+		}
+	})
+	v.At(10, func() {
+		// Everything resolved (served or expired by t=3.5): slots are back.
+		submit(5)
+	})
+	v.RunUntil(30)
+	if resolved := answers["served"] + answers["expired"]; resolved != 3 || answers["quota_exceeded"] != 1 {
+		t.Errorf("answers %v: want 3 admitted requests resolved and 1 refused", answers)
+	}
+	if d.pending != 0 {
+		t.Errorf("%d requests still pending", d.pending)
+	}
+}
+
+// TestDaemonDelayHistBounded: a serving engine keeps a fixed reservoir of
+// delay samples, not one per served request.
+func TestDaemonDelayHistBounded(t *testing.T) {
+	d, v := inlineDaemon(t, testConfig())
+	const n = 3 * delayHistBound
+	served := 0
+	for i := 0; i < n; i++ {
+		// Class 0 is never shed; one broadcast serves the whole burst.
+		d.Serve(Request{Item: 1}, 0, func(status int, _ Response) {
+			if status == http.StatusOK {
+				served++
+			}
+		})
+	}
+	v.RunUntil(10)
+	if served != n {
+		t.Fatalf("served %d of %d requests", served, n)
+	}
+	h := &d.srv.Peek().PerClass[0].DelayHist
+	if h.N() != n {
+		t.Errorf("delay histogram observed %d requests, want %d", h.N(), n)
+	}
+	if got := h.Retained(); got > delayHistBound {
+		t.Errorf("delay histogram retains %d samples, bound %d", got, delayHistBound)
+	}
+}
+
+// TestDaemonSpanSampling pins head sampling at a fractional rate: every
+// request, admitted or refused, takes one draw from the spans seed's
+// sampling stream, so the sampled set depends only on arrival order.
+func TestDaemonSpanSampling(t *testing.T) {
+	cfg := testConfig()
+	cfg.Admission.Classes = []ClassAdmission{{}, {}, {MaxPending: 1}}
+	cfg.Spans = &SpansConfig{Rate: 0.5, Buffer: 64, Seed: 11}
+	d, v := inlineDaemon(t, cfg)
+	const n = 40
+	for i := 0; i < n; i++ {
+		// Class 2 holds one pending slot, so most of its requests are
+		// refused at the quota.
+		d.Serve(Request{Item: i + 1}, i%3, func(int, Response) {})
+	}
+	v.RunUntil(100)
+
+	draws := rng.New(11).Split("spans")
+	var want []int
+	for i := 0; i < n; i++ {
+		if draws.Float64() < 0.5 {
+			want = append(want, i+1)
+		}
+	}
+	var got []int
+	for _, sp := range d.Spans() {
+		got = append(got, sp.Item)
+	}
+	sort.Ints(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("sampled items %v, want %v", got, want)
 	}
 }

@@ -1,4 +1,4 @@
-// Package span reconstructs per-request span trees from the simulator's
+// Package span reconstructs per-request span trees from the engine's
 // trace event stream. The engine (internal/core) emits span provenance
 // events — span-start, span-enqueue, decision, span-loss, span-retry,
 // span-handoff, span-attach, span-end — for head-sampled requests only;
@@ -7,8 +7,9 @@
 // service, failed-service, retry-backoff, transit) that tile it exactly.
 //
 // Reconstruction is a pure function of the event stream, so spans built
-// from a live tracer, a JSONL file, or a cluster's merged per-cell streams
-// are identical. Verify audits the invariant the engine promises: a closed
+// live (Recorder, behind qosd's /debug/spans) or from a recorded stream —
+// a JSONL file, a cluster's merged per-cell streams (Build) — are
+// identical. Verify audits the invariant the engine promises: a closed
 // span's segments are contiguous, start at the request arrival, end at the
 // terminal event, and their durations sum to the effective delay.
 package span
@@ -123,6 +124,7 @@ type builder struct {
 	mode    string  // kind the current segment will close as
 	curCell int
 	done    bool
+	open    int // index in Recorder.open while the span is open
 	// attachT is the time of the last span-attach processed, used to
 	// absorb stream-merge ties: at a cluster barrier the origin cell's
 	// span-handoff and the destination cell's same-instant events carry
@@ -154,139 +156,186 @@ func (b *builder) forceSegment(kind string, to float64, attempt int) {
 	b.cursor = to
 }
 
+// Recorder reconstructs spans incrementally, one event at a time, and
+// hands each span to its close callback at the span's terminal event. It
+// is the one span reconstruction: Build folds a recorded stream through
+// it, and a serving engine streams into it live (it implements
+// trace.Tracer). A streaming Recorder forgets a span once it closes, so
+// its memory is bounded by the spans still open.
+type Recorder struct {
+	onClose func(*Span)
+	byID    map[int64]*builder
+	open    []*builder // open spans, in no particular order
+	// retain keeps closed spans addressable, as a whole-stream Build needs
+	// to recognise cluster merge ties and events for closed spans.
+	retain bool
+}
+
+// NewRecorder returns a streaming Recorder that calls onClose with every
+// span as it reaches its terminal.
+func NewRecorder(onClose func(*Span)) *Recorder {
+	return &Recorder{onClose: onClose, byID: make(map[int64]*builder)}
+}
+
+// Event implements trace.Tracer. An event the reconstruction rejects —
+// only an engine bug can produce one, and Build reports it — is dropped.
+func (r *Recorder) Event(e trace.Event) {
+	_ = r.add(e)
+}
+
+// add folds one event into the spans it concerns.
+func (r *Recorder) add(e trace.Event) error {
+	if e.Kind == trace.KindDecision {
+		// Decisions carry no span ID (one extraction serves every pending
+		// request of the item): attach to each open span of that item
+		// queued in that cell.
+		for _, b := range r.open {
+			if b.mode != SegQueueWait || b.span.Item != e.Item || b.curCell != e.Cell {
+				continue
+			}
+			b.span.Decisions = append(b.span.Decisions, Decision{
+				T: e.T, Item: e.Item, Score: e.Score,
+				RunnerUp: e.RunnerUp, RunnerUpScore: e.RunnerUpScore,
+				Requests: e.Requests, Cell: e.Cell,
+			})
+		}
+		return nil
+	}
+	if e.Req == 0 {
+		return nil // not a span event
+	}
+	b := r.byID[e.Req]
+	if e.Kind == trace.KindSpanStart {
+		if b != nil {
+			return fmt.Errorf("duplicate span-start for span %d", e.Req)
+		}
+		b = &builder{
+			span: Span{
+				ID: e.Req, Class: e.Class, Item: e.Item,
+				Verdict: e.Reason, Start: e.T, End: e.T,
+				Cells: []int{e.Cell},
+			},
+			cursor:  e.T,
+			curCell: e.Cell,
+			mode:    startMode(e.Reason),
+			open:    len(r.open),
+		}
+		r.byID[e.Req] = b
+		r.open = append(r.open, b)
+		return nil
+	}
+	if b == nil {
+		return fmt.Errorf("%s for unknown span %d", e.Kind, e.Req)
+	}
+	if b.done {
+		// A span refused at a barrier closes in the destination cell's
+		// stream; the origin's same-instant span-handoff can merge in after
+		// it (tie broken by cell index). The zero-length transit it would
+		// have opened was already elided — drop it.
+		if e.Kind == trace.KindSpanHandoff && e.T == b.span.End && strings.HasPrefix(b.span.Outcome, "refused-") {
+			return nil
+		}
+		return fmt.Errorf("%s for closed span %d", e.Kind, e.Req)
+	}
+	b.span.End = e.T
+	switch e.Kind {
+	case trace.KindSpanEnqueue:
+		b.closeSegment(b.mode, e.T, 0)
+		b.mode = SegQueueWait
+		b.span.Enqueues = append(b.span.Enqueues, Enqueue{
+			T: e.T, Score: e.Score, Requests: e.Requests, Cell: e.Cell,
+		})
+	case trace.KindSpanLoss:
+		// The corrupted transmission: wait up to its start, then the
+		// failed service interval. What follows is backoff (or an
+		// immediate terminal at the same instant).
+		b.closeSegment(b.mode, e.Start, 0)
+		b.closeSegment(SegFailedService, e.T, e.Attempt)
+		b.mode = SegRetryBackoff
+		b.span.Losses++
+	case trace.KindSpanRetry:
+		// The re-request instant: whatever ran since the last event was
+		// backoff, regardless of mode (an uplink loss books a retry
+		// without an intervening span-loss).
+		b.closeSegment(SegRetryBackoff, e.T, 0)
+		b.mode = SegRetryBackoff
+		b.span.Retries++
+	case trace.KindSpanHandoff:
+		if b.hasAtt && b.attachT == e.T {
+			// Zero attach delay: the destination's span-attach merged in
+			// ahead of this handoff (barrier tie); the transit boundary
+			// was already placed. Nothing to do.
+			return nil
+		}
+		b.closeSegment(b.mode, e.T, 0)
+		b.mode = SegTransit
+	case trace.KindSpanAttach:
+		if b.mode != SegTransit {
+			// Zero attach delay, destination stream merged first: the wait
+			// segment closes here and the transit is zero-length.
+			b.closeSegment(b.mode, e.T, 0)
+		} else {
+			b.closeSegment(SegTransit, e.T, 0)
+		}
+		b.attachT, b.hasAtt = e.T, true
+		b.curCell = e.Cell
+		b.span.Cells = append(b.span.Cells, e.Cell)
+		if e.Reason == trace.VerdictPush {
+			b.mode = SegPushWait
+		} else {
+			b.mode = SegQueueWait
+		}
+	case trace.KindSpanEnd:
+		if e.Reason == trace.EndServed || (e.Reason == trace.EndExpired && e.Start > 0) {
+			// A delivery happened: split the final wait from the service
+			// interval at the recorded transmission start. The service
+			// segment is forced even when zero-length (cache hit; roamer
+			// attaching at a broadcast's final instant) so every delivery
+			// is visible in the tree.
+			b.closeSegment(b.mode, e.Start, 0)
+			b.forceSegment(SegService, e.T, 0)
+		} else {
+			b.closeSegment(b.mode, e.T, 0)
+		}
+		b.span.Outcome = e.Reason
+		b.span.Push = e.Push
+		r.close(b)
+	default:
+		return fmt.Errorf("unexpected kind %q carrying span %d", e.Kind, e.Req)
+	}
+	return nil
+}
+
+// close retires a span at its terminal and hands a copy to the callback.
+func (r *Recorder) close(b *builder) {
+	b.done = true
+	last := r.open[len(r.open)-1]
+	r.open[b.open], last.open = last, b.open
+	r.open = r.open[:len(r.open)-1]
+	if !r.retain {
+		delete(r.byID, b.span.ID)
+	}
+	sp := b.span
+	r.onClose(&sp)
+}
+
 // Build reconstructs every sampled request's span from a trace event
 // stream (single-cell or cluster-merged; events must be in nondecreasing
 // time order, as the engine emits them and MergeByTime preserves). Spans
 // are returned sorted by start time, ties by ID. Requests with no terminal
 // event are returned Open.
 func Build(events []trace.Event) ([]*Span, error) {
-	byID := make(map[int64]*builder)
-	var order []*builder // creation order: deterministic iteration (maporder)
+	var out []*Span
+	r := NewRecorder(func(sp *Span) { out = append(out, sp) })
+	r.retain = true
 	for i, e := range events {
-		if e.Kind == trace.KindDecision {
-			// Decisions carry no span ID (one extraction serves every
-			// pending request of the item): attach to each open span of
-			// that item queued in that cell.
-			for _, b := range order {
-				if b.done || b.mode != SegQueueWait || b.span.Item != e.Item || b.curCell != e.Cell {
-					continue
-				}
-				b.span.Decisions = append(b.span.Decisions, Decision{
-					T: e.T, Item: e.Item, Score: e.Score,
-					RunnerUp: e.RunnerUp, RunnerUpScore: e.RunnerUpScore,
-					Requests: e.Requests, Cell: e.Cell,
-				})
-			}
-			continue
-		}
-		if e.Req == 0 {
-			continue // not a span event
-		}
-		b := byID[e.Req]
-		if e.Kind == trace.KindSpanStart {
-			if b != nil {
-				return nil, fmt.Errorf("span: event %d: duplicate span-start for span %d", i, e.Req)
-			}
-			b = &builder{
-				span: Span{
-					ID: e.Req, Class: e.Class, Item: e.Item,
-					Verdict: e.Reason, Start: e.T, End: e.T,
-					Cells: []int{e.Cell},
-				},
-				cursor:  e.T,
-				curCell: e.Cell,
-				mode:    startMode(e.Reason),
-			}
-			byID[e.Req] = b
-			order = append(order, b)
-			continue
-		}
-		if b == nil {
-			return nil, fmt.Errorf("span: event %d: %s for unknown span %d", i, e.Kind, e.Req)
-		}
-		if b.done {
-			// A span refused at a barrier closes in the destination cell's
-			// stream; the origin's same-instant span-handoff can merge in
-			// after it (tie broken by cell index). The zero-length transit
-			// it would have opened was already elided — drop it.
-			if e.Kind == trace.KindSpanHandoff && e.T == b.span.End && strings.HasPrefix(b.span.Outcome, "refused-") {
-				continue
-			}
-			return nil, fmt.Errorf("span: event %d: %s for closed span %d", i, e.Kind, e.Req)
-		}
-		b.span.End = e.T
-		switch e.Kind {
-		case trace.KindSpanEnqueue:
-			b.closeSegment(b.mode, e.T, 0)
-			b.mode = SegQueueWait
-			b.span.Enqueues = append(b.span.Enqueues, Enqueue{
-				T: e.T, Score: e.Score, Requests: e.Requests, Cell: e.Cell,
-			})
-		case trace.KindSpanLoss:
-			// The corrupted transmission: wait up to its start, then the
-			// failed service interval. What follows is backoff (or an
-			// immediate terminal at the same instant).
-			b.closeSegment(b.mode, e.Start, 0)
-			b.closeSegment(SegFailedService, e.T, e.Attempt)
-			b.mode = SegRetryBackoff
-			b.span.Losses++
-		case trace.KindSpanRetry:
-			// The re-request instant: whatever ran since the last event
-			// was backoff, regardless of mode (an uplink loss books a
-			// retry without an intervening span-loss).
-			b.closeSegment(SegRetryBackoff, e.T, 0)
-			b.mode = SegRetryBackoff
-			b.span.Retries++
-		case trace.KindSpanHandoff:
-			if b.hasAtt && b.attachT == e.T {
-				// Zero attach delay: the destination's span-attach merged
-				// in ahead of this handoff (barrier tie); the transit
-				// boundary was already placed. Nothing to do.
-				continue
-			}
-			b.closeSegment(b.mode, e.T, 0)
-			b.mode = SegTransit
-		case trace.KindSpanAttach:
-			if b.mode != SegTransit {
-				// Zero attach delay, destination stream merged first: the
-				// wait segment closes here and the transit is zero-length.
-				b.closeSegment(b.mode, e.T, 0)
-			} else {
-				b.closeSegment(SegTransit, e.T, 0)
-			}
-			b.attachT, b.hasAtt = e.T, true
-			b.curCell = e.Cell
-			b.span.Cells = append(b.span.Cells, e.Cell)
-			if e.Reason == trace.VerdictPush {
-				b.mode = SegPushWait
-			} else {
-				b.mode = SegQueueWait
-			}
-		case trace.KindSpanEnd:
-			if e.Reason == trace.EndServed || (e.Reason == trace.EndExpired && e.Start > 0) {
-				// A delivery happened: split the final wait from the
-				// service interval at the recorded transmission start. The
-				// service segment is forced even when zero-length (cache
-				// hit; roamer attaching at a broadcast's final instant) so
-				// every delivery is visible in the tree.
-				b.closeSegment(b.mode, e.Start, 0)
-				b.forceSegment(SegService, e.T, 0)
-			} else {
-				b.closeSegment(b.mode, e.T, 0)
-			}
-			b.span.Outcome = e.Reason
-			b.span.Push = e.Push
-			b.done = true
-		default:
-			return nil, fmt.Errorf("span: event %d: unexpected kind %q carrying span %d", i, e.Kind, e.Req)
+		if err := r.add(e); err != nil {
+			return nil, fmt.Errorf("span: event %d: %w", i, err)
 		}
 	}
-	out := make([]*Span, 0, len(order))
-	for _, b := range order {
-		if !b.done {
-			b.span.Open = true
-		}
+	for _, b := range r.open {
 		sp := b.span
+		sp.Open = true
 		out = append(out, &sp)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -25,7 +25,7 @@ const (
 	MetricCorruptPush    = "corrupt_push"       // unlabelled: broadcasts lost downlink
 	MetricCorruptPull    = "corrupt_pull"       // unlabelled: pull deliveries lost downlink
 
-	// Counters emitted only by the serving mode (cmd/qosd). The registry
+	// Counters emitted only by serving (cmd/qosd). The registry
 	// creates metrics lazily, so attaching these names costs a simulation
 	// run nothing: sim snapshots are byte-identical with or without them.
 	MetricExpired       = "expired"        // admitted requests that missed their deadline
@@ -200,8 +200,8 @@ func (c *Collector) Shed(class int) {
 	c.shed.get(c.reg.counters, MetricShed, class).Inc()
 }
 
-// Expired counts one admitted request that missed its deadline (serving
-// mode: the client was answered 504 before the item's transmission).
+// Expired counts one submitted request that missed its deadline (serving:
+// the client was answered 504 before the item's transmission).
 func (c *Collector) Expired(class int) {
 	c.expired.get(c.reg.counters, MetricExpired, class).Inc()
 }

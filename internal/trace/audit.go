@@ -13,7 +13,7 @@ import (
 // (queue depth, bandwidth occupancy) sample live engine state and are not
 // derivable from events; the engine feeds those to the collector directly
 // and the replay audit excludes them.
-func Apply(c *telemetry.Collector, e Event) {
+func Apply(c *telemetry.Collector, e *Event) {
 	if c == nil {
 		return
 	}
@@ -34,6 +34,8 @@ func Apply(c *telemetry.Collector, e Event) {
 		c.Retry(int(e.Class))
 	case KindShed:
 		c.Shed(int(e.Class))
+	case KindExpire:
+		c.Expired(int(e.Class))
 	case KindHandoff:
 		c.Handoff(int(e.Class))
 	case KindHandoffRefused:
@@ -76,7 +78,7 @@ func VerifySnapshots(events []Event) (int, error) {
 	verified := 0
 	for i, e := range events {
 		if e.Kind != KindSnapshot {
-			Apply(c, e)
+			Apply(c, &e)
 			continue
 		}
 		if e.Snap == nil {

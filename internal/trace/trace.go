@@ -30,6 +30,7 @@ const (
 	KindCorrupt      Kind = "corrupt"       // transmission corrupted on the lossy downlink
 	KindRetry        Kind = "retry"         // client scheduled a re-request after corruption
 	KindShed         Kind = "shed"          // request refused by the overload admission controller
+	KindExpire       Kind = "expire"        // a submitted request's deadline timer fired before delivery
 	KindSnapshot     Kind = "snapshot"      // periodic telemetry snapshot (read-only; carries Snap)
 
 	// Multi-cell kinds (internal/cluster): cross-cell client mobility.
