@@ -8,22 +8,27 @@
 //
 // The cluster is bulk-synchronous. The horizon is divided into handoff
 // epochs of length HandoffEvery; within an epoch every cell advances
-// independently (driven as internal/workpool jobs, so a 64-cell federation
-// uses every core), and all cross-cell interaction happens at the epoch
-// barrier, sequentially, in cell-index order:
+// independently, and all cross-cell interaction happens at the epoch
+// barrier. Each Step has three phases:
 //
-//  1. sample every cell's pending load (the routing and saturation signal);
-//  2. per cell, draw which pending requests roam (one Bernoulli(p) draw per
-//     request from that cell's own mobility stream, p = 1−exp(−Rate·Δ));
-//  3. route each roamer (registered policy: nearest, least-loaded,
-//     class-affine) and schedule its re-attachment at barrier+AttachDelay
-//     on the destination cell's event heap.
+//  1. parallel, one internal/workpool job per cell: advance to the barrier,
+//     sample the pending load (the routing and saturation signal), and draw
+//     which pending requests roam (one Bernoulli(p) draw per request from
+//     the cell's own mobility stream, p = 1−exp(−Rate·Δ)) — all of it
+//     touching only that cell;
+//  2. serial, in cell-index order: saturation detection, then routing. At
+//     cell i's turn its load drops by its roamer count, its roam-out span
+//     events are emitted, and each roamer is routed (registered policy:
+//     nearest, least-loaded, class-affine) over a Loads tournament tree;
+//     refusals are booked at the destination, accepted roamers join its
+//     open injection batch;
+//  3. every destination with a non-empty batch books one event at
+//     barrier+AttachDelay that injects the batch in routing order.
 //
-// Injections scheduled at a barrier fire inside the destination's next
-// parallel advance and touch only that cell's state, so the parallel phase
-// shares nothing and the barrier phase is single-threaded: results are
-// bit-identical at any worker count, matching the repository's determinism
-// contract.
+// Injections fire inside a later parallel advance of the destination and
+// touch only that cell's state, so the parallel phase shares nothing and
+// the cross-cell phase is single-threaded: results are bit-identical at any
+// worker count, matching the repository's determinism contract.
 //
 // # Catalog overlap
 //
@@ -174,8 +179,9 @@ func (c Config) Validate() error {
 }
 
 // cellState is one cell plus its cluster-side bookkeeping. During the
-// parallel phase a cellState is touched only by its own workpool job; the
-// barrier phase owns them all, single-threaded.
+// parallel phase a cellState is touched only by its own workpool job,
+// through its own methods; the barrier phase owns them all,
+// single-threaded.
 //
 //qos:sharded
 type cellState struct {
@@ -184,6 +190,25 @@ type cellState struct {
 	buf    *trace.Buffer
 	mobRng *rng.Source
 	sat    satState
+	// load is the pending load sampled at the barrier, before extraction.
+	load int
+	// roamers are the requests that left this cell at the barrier (the
+	// Server's ExtractRoamers buffer).
+	roamers []core.Roamer
+}
+
+// advance is workpool job i, the parallel phase: it runs the cell to the
+// barrier time t, samples its pending load and, when roamProb > 0, draws
+// which pending requests roam from the cell's own mobility stream. All of
+// it touches only this cell.
+func (cs *cellState) advance(t, roamProb float64) {
+	cs.srv.AdvanceTo(t)
+	cs.load = cs.srv.PendingLoad()
+	cs.roamers = nil
+	if roamProb > 0 {
+		r := cs.mobRng
+		cs.roamers = cs.srv.ExtractRoamers(func() bool { return r.Float64() < roamProb })
+	}
 }
 
 // Cluster is a running multi-cell federation. Build with New, drive with
@@ -200,6 +225,9 @@ type Cluster struct {
 	started  bool
 	done     bool
 	snaps    []Snapshot
+	// loadv and loads are the barrier's reused routing scratch.
+	loadv []int
+	loads Loads
 }
 
 // New builds a cluster: N cells with derived seeds and overlapped catalogs,
@@ -324,10 +352,13 @@ func (c *Cluster) Epoch() int { return c.epoch }
 // Now returns the cluster's current barrier time.
 func (c *Cluster) Now() float64 { return c.now }
 
-// Step advances every cell one handoff epoch in parallel (workpool jobs),
-// then runs the cross-cell barrier: load sampling, saturation detection,
-// mobility extraction, routing and re-attachment scheduling. It reports
-// whether the horizon has been reached. After done, call Result.
+// Step advances the cluster one handoff epoch in three phases. In the
+// parallel phase (workpool jobs) every cell advances to the barrier,
+// samples its load and extracts its roamers. The serial barrier phase then
+// runs saturation detection and routes every roamer, in cell order. Last,
+// every cell that received roamers books one event that re-attaches them
+// after the transit delay. It reports whether the horizon has been
+// reached. After done, call Result.
 //
 //qos:barrier
 func (c *Cluster) Step() (bool, error) {
@@ -345,15 +376,19 @@ func (c *Cluster) Step() (bool, error) {
 	if t > c.cfg.Base.Horizon {
 		t = c.cfg.Base.Horizon
 	}
+	roamProb := c.roamProb
+	if t >= c.cfg.Base.Horizon {
+		roamProb = 0 // no exchange at the final barrier
+	}
 	if err := workpool.Run(len(c.cells), func(i int) error {
-		//lint:allow barriersafe parallel phase: job i advances only cell i; no cross-cell state is touched until the barrier
-		c.cells[i].srv.AdvanceTo(t)
+		//lint:allow barriersafe parallel phase: job i calls only cell i's own advance
+		c.cells[i].advance(t, roamProb)
 		return nil
 	}); err != nil {
 		return false, err
 	}
 	c.now = t
-	c.barrier(t)
+	c.barrier(t, roamProb > 0)
 	if t >= c.cfg.Base.Horizon {
 		c.done = true
 	}
@@ -364,37 +399,39 @@ func (c *Cluster) Step() (bool, error) {
 // cell's clock is exactly at t; nothing here advances simulated time.
 //
 //qos:barrier
-func (c *Cluster) barrier(t float64) {
-	loads := make([]int, len(c.cells))
-	for i, cs := range c.cells {
-		loads[i] = cs.srv.PendingLoad()
-	}
+func (c *Cluster) barrier(t float64, exchange bool) {
 	if c.cfg.SaturationLoad > 0 {
-		for i, cs := range c.cells {
-			cs.sat.observe(loads[i], t, c.cfg.SaturationLoad, max(1, c.cfg.SaturationEpochs))
+		for _, cs := range c.cells {
+			cs.sat.observe(cs.load, t, c.cfg.SaturationLoad, max(1, c.cfg.SaturationEpochs))
 		}
 	}
-	if c.roamProb > 0 && t < c.cfg.Base.Horizon {
-		c.exchange(t, loads)
+	if exchange {
+		c.exchange(t)
 	}
 	if c.cfg.SnapshotEveryEpochs > 0 && c.epoch%c.cfg.SnapshotEveryEpochs == 0 {
 		c.snaps = append(c.snaps, c.takeSnapshot(t))
 	}
 }
 
-// exchange extracts, routes and re-schedules this barrier's roamers,
-// sequentially in cell-index order.
+// exchange routes this barrier's roamers, sequentially in cell-index
+// order, then books each destination's re-attachment batch. Each origin
+// cell's roam-out span events are emitted at its turn, before its roamers
+// are routed, so every cell's trace stream has the same order at any
+// worker count.
 //
 //qos:barrier
-func (c *Cluster) exchange(t float64, loads []int) {
-	horizon := c.cfg.Base.Horizon
+func (c *Cluster) exchange(t float64) {
+	c.loadv = c.loadv[:0]
+	for _, cs := range c.cells {
+		c.loadv = append(c.loadv, cs.load)
+	}
+	c.loads.Reset(c.loadv)
+	attach := t + c.cfg.Mobility.AttachDelay
 	for i, cs := range c.cells {
-		p := c.roamProb
-		r := cs.mobRng
-		roamers := cs.srv.ExtractRoamers(func() bool { return r.Float64() < p })
-		loads[i] -= len(roamers)
-		for _, rm := range roamers {
-			dst := c.router.Route(i, rm.Class, loads, r)
+		c.loads.Add(i, -len(cs.roamers))
+		cs.srv.SpanHandoffs(cs.roamers)
+		for _, rm := range cs.roamers {
+			dst := c.router.Route(i, rm.Class, &c.loads, cs.mobRng)
 			if dst == i || dst < 0 || dst >= len(c.cells) {
 				panic(fmt.Sprintf("cluster: routing policy %q returned cell %d for a roamer leaving cell %d of %d", c.router.Name(), dst, i, len(c.cells)))
 			}
@@ -404,14 +441,19 @@ func (c *Cluster) exchange(t float64, loads []int) {
 				dc.srv.RefuseHandoff(rm.Item, rm.Class, "no-item", rm.Arrival, rm.Span)
 				continue
 			}
-			attach := t + c.cfg.Mobility.AttachDelay
-			if attach > horizon {
+			if attach > c.cfg.Base.Horizon {
 				dc.srv.RefuseHandoff(rm.Item, rm.Class, "horizon", rm.Arrival, rm.Span)
 				continue
 			}
-			loads[dst]++
-			dc.srv.ScheduleInject(attach, rm.Item, rm.Class, rm.Arrival, rm.Attempts, rm.Span, nil)
+			c.loads.Add(dst, 1)
+			dc.srv.QueueInject(rm)
 		}
+	}
+	// A barrier's injections into one cell share one time and consecutive
+	// sequence numbers (nothing else books events there in between), so one
+	// event running them in order pops exactly where they would have.
+	for _, cs := range c.cells {
+		cs.srv.ScheduleInjects(attach)
 	}
 }
 

@@ -312,3 +312,56 @@ func TestValidate(t *testing.T) {
 type discard struct{}
 
 func (discard) Event(trace.Event) {}
+
+// Worker-count determinism across attach delays: 0 (re-attach at the
+// barrier instant), 2, one epoch and more than one epoch, where a barrier's
+// injection batch is still pending at later barriers. Spans are on, so the
+// merged trace pins the barrier's event order too.
+func TestWorkerCountDeterminismAttachDelays(t *testing.T) {
+	prev := workpool.SetWorkers(1)
+	defer workpool.SetWorkers(prev)
+	const every = 40
+	for _, delay := range []float64{0, 2, every, 2.5 * every} {
+		cfg := cluster.Config{
+			Cells:               12,
+			Base:                base(t),
+			CatalogOverlap:      0.5,
+			Mobility:            cluster.Mobility{Rate: 0.02, AttachDelay: delay},
+			Routing:             "least-loaded",
+			HandoffEvery:        every,
+			HotCell:             3,
+			HotFactor:           2,
+			SnapshotEveryEpochs: 1,
+			CollectTrace:        true,
+		}
+		cfg.Base.Horizon = 200
+		cfg.Base.Spans = &core.SpanConfig{}
+		run := func(workers int) *cluster.Result {
+			workpool.SetWorkers(workers)
+			c, err := cluster.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want := run(1)
+		var in, out, refused int64
+		for _, cm := range want.Aggregate.PerClass {
+			in += cm.HandoffsIn
+			out += cm.HandoffsOut
+			refused += cm.HandoffRefusals
+		}
+		if in == 0 || in+refused != out {
+			t.Fatalf("delay %g: handoffs in %d + refused %d vs out %d", delay, in, refused, out)
+		}
+		for _, workers := range []int{2, 4, 0} {
+			if got := run(workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("delay %g, workers=%d: result diverged from sequential run", delay, workers)
+			}
+		}
+	}
+}

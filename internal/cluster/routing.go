@@ -27,7 +27,7 @@ type Router interface {
 	// updated by the cluster as the barrier assigns roamers, so consecutive
 	// decisions see the load they are creating. r is the origin cell's
 	// mobility stream.
-	Route(src int, class clients.Class, loads []int, r *rng.Source) int
+	Route(src int, class clients.Class, loads *Loads, r *rng.Source) int
 }
 
 // Factory builds a router for a cluster of cells cells and classes service
@@ -135,7 +135,7 @@ type nearest struct{ cells int }
 
 func (nearest) Name() string { return "nearest" }
 
-func (p nearest) Route(src int, _ clients.Class, _ []int, r *rng.Source) int {
+func (p nearest) Route(src int, _ clients.Class, _ *Loads, r *rng.Source) int {
 	if p.cells == 2 {
 		return 1 - src
 	}
@@ -152,8 +152,8 @@ type leastLoaded struct{ cells int }
 
 func (leastLoaded) Name() string { return "least-loaded" }
 
-func (p leastLoaded) Route(src int, _ clients.Class, loads []int, _ *rng.Source) int {
-	return argMinLoad(loads, src)
+func (p leastLoaded) Route(src int, _ clients.Class, loads *Loads, _ *rng.Source) int {
+	return loads.ArgMinExcept(src)
 }
 
 // classAffine partitions cells round-robin across service classes
@@ -164,33 +164,17 @@ type classAffine struct{ cells, classes int }
 
 func (classAffine) Name() string { return "class-affine" }
 
-func (p classAffine) Route(src int, class clients.Class, loads []int, _ *rng.Source) int {
+func (p classAffine) Route(src int, class clients.Class, loads *Loads, _ *rng.Source) int {
 	best := -1
-	for i := 0; i < p.cells; i++ {
-		if i == src || i%p.classes != int(class) {
-			continue
-		}
-		if best == -1 || loads[i] < loads[best] {
-			best = i
+	if c := int(class); c >= 0 && c < p.classes {
+		for i := c; i < p.cells; i += p.classes {
+			if i != src && (best == -1 || loads.Load(i) < loads.Load(best)) {
+				best = i
+			}
 		}
 	}
 	if best == -1 {
-		return argMinLoad(loads, src)
-	}
-	return best
-}
-
-// argMinLoad returns the index of the least-loaded cell other than src,
-// lowest index winning ties.
-func argMinLoad(loads []int, src int) int {
-	best := -1
-	for i, l := range loads {
-		if i == src {
-			continue
-		}
-		if best == -1 || l < loads[best] {
-			best = i
-		}
+		return loads.ArgMinExcept(src)
 	}
 	return best
 }

@@ -59,14 +59,14 @@ func TestNearestRouting(t *testing.T) {
 	r := router(t, "nearest", 2, 3)
 	src := rng.New(7)
 	for i := 0; i < 10; i++ {
-		if dst := r.Route(0, 0, []int{0, 0}, src); dst != 1 {
+		if dst := r.Route(0, 0, cluster.NewLoads([]int{0, 0}), src); dst != 1 {
 			t.Fatalf("2-cell nearest from 0 → %d", dst)
 		}
 	}
 	r = router(t, "nearest", 5, 3)
 	seen := map[int]bool{}
 	for i := 0; i < 100; i++ {
-		dst := r.Route(2, 0, make([]int, 5), src)
+		dst := r.Route(2, 0, cluster.NewLoads(make([]int, 5)), src)
 		if dst != 1 && dst != 3 {
 			t.Fatalf("nearest from 2 of 5 → %d, want a ring neighbour", dst)
 		}
@@ -77,7 +77,7 @@ func TestNearestRouting(t *testing.T) {
 	}
 	// Wrap-around at the ring edges.
 	for i := 0; i < 100; i++ {
-		if dst := r.Route(0, 0, make([]int, 5), src); dst != 1 && dst != 4 {
+		if dst := r.Route(0, 0, cluster.NewLoads(make([]int, 5)), src); dst != 1 && dst != 4 {
 			t.Fatalf("nearest from 0 of 5 → %d", dst)
 		}
 	}
@@ -86,15 +86,15 @@ func TestNearestRouting(t *testing.T) {
 func TestLeastLoadedRouting(t *testing.T) {
 	r := router(t, "least-loaded", 4, 3)
 	src := rng.New(7)
-	if dst := r.Route(0, 0, []int{0, 5, 2, 9}, src); dst != 2 {
+	if dst := r.Route(0, 0, cluster.NewLoads([]int{0, 5, 2, 9}), src); dst != 2 {
 		t.Errorf("least-loaded → %d, want 2", dst)
 	}
 	// The origin cell is never a destination, even when least loaded.
-	if dst := r.Route(2, 0, []int{5, 5, 0, 9}, src); dst == 2 {
+	if dst := r.Route(2, 0, cluster.NewLoads([]int{5, 5, 0, 9}), src); dst == 2 {
 		t.Error("least-loaded routed back to the origin")
 	}
 	// Ties break to the lowest index.
-	if dst := r.Route(3, 0, []int{4, 4, 4, 4}, src); dst != 0 {
+	if dst := r.Route(3, 0, cluster.NewLoads([]int{4, 4, 4, 4}), src); dst != 0 {
 		t.Errorf("tie → %d, want 0", dst)
 	}
 }
@@ -103,7 +103,7 @@ func TestClassAffineRouting(t *testing.T) {
 	// 6 cells, 3 classes: class c owns cells {c, c+3}.
 	r := router(t, "class-affine", 6, 3)
 	src := rng.New(7)
-	loads := []int{9, 9, 9, 1, 2, 3}
+	loads := cluster.NewLoads([]int{9, 9, 9, 1, 2, 3})
 	if dst := r.Route(0, 0, loads, src); dst != 3 {
 		t.Errorf("class 0 → %d, want 3 (least-loaded cell of class 0, excluding origin)", dst)
 	}
@@ -112,7 +112,7 @@ func TestClassAffineRouting(t *testing.T) {
 	}
 	// Partition empty after excluding the origin → least-loaded fallback.
 	r2 := router(t, "class-affine", 3, 3)
-	if dst := r2.Route(1, 1, []int{7, 0, 3}, src); dst != 2 {
+	if dst := r2.Route(1, 1, cluster.NewLoads([]int{7, 0, 3}), src); dst != 2 {
 		t.Errorf("fallback → %d, want 2", dst)
 	}
 }

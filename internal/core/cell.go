@@ -5,13 +5,17 @@ package core
 // A cell is simply a Server stepped in segments — Start arms it, AdvanceTo
 // runs the event loop to a barrier time, Finish closes the books — plus the
 // cross-cell mobility surface: ExtractRoamers pulls pending requests out of
-// the cell, Inject re-attaches a roamer that arrived over the backhaul, and
+// the cell, SpanHandoffs records their departure on the span stream, Inject
+// re-attaches a roamer that arrived over the backhaul (QueueInject and
+// ScheduleInjects book a whole barrier's arrivals as one event), and
 // RefuseHandoff records a roamer the cell turned away. Run (engine.go) is
 // Start + AdvanceTo(horizon) + Finish, so single-cell output is bit-identical
 // however the engine is driven: nothing executes at a barrier except the
 // clock advancing.
 
 import (
+	"fmt"
+
 	"hybridqos/internal/clients"
 	"hybridqos/internal/pullqueue"
 	"hybridqos/internal/trace"
@@ -133,15 +137,20 @@ func (s *Server) PendingLoad() int {
 // chosen are re-enqueued unchanged. Requests whose transmission is already
 // in flight are not pending and cannot roam — they are about to be served
 // (or lost) where they are.
+//
+// The returned slice is the Server's own buffer, valid until the next call.
+// ExtractRoamers touches only this cell, so a cluster runs it inside the
+// parallel phase; the roam-out span events are left to SpanHandoffs, which
+// the cluster calls at the barrier so the merged trace does not depend on
+// the parallel schedule.
 func (s *Server) ExtractRoamers(roam func() bool) []Roamer {
-	var out []Roamer
+	out := s.roamOut[:0]
 	entries := s.selector.Drain()
 	for _, e := range entries {
 		for _, r := range e.Requests {
 			if roam() {
 				out = append(out, Roamer{Item: r.Item, Class: r.Class, Arrival: r.Arrival, Attempts: r.Attempts, Span: r.Tag})
 				s.metrics.PerClass[r.Class].HandoffsOut++
-				s.spanHandoff(r.Item, r.Class, r.Tag)
 			} else {
 				s.selector.Add(r, e.Length)
 			}
@@ -163,7 +172,6 @@ func (s *Server) ExtractRoamers(roam func() bool) []Roamer {
 			if roam() {
 				out = append(out, Roamer{Item: rank, Class: w.class, Arrival: w.arrival, Push: true, Span: w.span})
 				s.metrics.PerClass[w.class].HandoffsOut++
-				s.spanHandoff(rank, w.class, w.span)
 			} else {
 				keep = append(keep, w)
 			}
@@ -173,7 +181,19 @@ func (s *Server) ExtractRoamers(roam func() bool) []Roamer {
 	if len(out) > 0 {
 		s.observeQueue()
 	}
+	s.roamOut = out
 	return out
+}
+
+// SpanHandoffs emits the roam-out span event of every sampled roamer in rs,
+// in order, at the current time. rs is the slice ExtractRoamers returned.
+func (s *Server) SpanHandoffs(rs []Roamer) {
+	if !s.emitOn {
+		return
+	}
+	for i := range rs {
+		s.spanHandoff(rs[i].Item, rs[i].Class, rs[i].Span)
+	}
 }
 
 // Inject delivers a roamer to this cell at the current simulated time.
@@ -222,18 +242,53 @@ func (s *Server) Inject(item int, class clients.Class, arrival float64, attempts
 	return InjectAccepted
 }
 
-// ScheduleInject books a handoff injection at simulated time at — the
-// roamer's re-attach instant after its transit delay. The done callback (may
-// be nil) runs inside the cell's event loop, right after the injection;
-// cluster callers use it to tally per-cell outcomes without any cross-cell
-// shared state.
-func (s *Server) ScheduleInject(at float64, item int, class clients.Class, arrival float64, attempts int, span int64, done func(InjectOutcome)) {
-	s.clk.At(at, func() {
-		out := s.Inject(item, class, arrival, attempts, span)
-		if done != nil {
-			done(out)
+// QueueInject adds a roamer bound for this cell to its open injection
+// batch, which the next ScheduleInjects books.
+func (s *Server) QueueInject(r Roamer) {
+	if cap(s.inbox) == 0 {
+		if n := len(s.inboundFree); n > 0 {
+			s.inbox = s.inboundFree[n-1]
+			s.inboundFree = s.inboundFree[:n-1]
 		}
-	})
+	}
+	s.inbox = append(s.inbox, r)
+}
+
+// ScheduleInjects books the open batch — the roamers queued since the last
+// call, in queue order — as one event at simulated time at, where they
+// re-attach together after their transit delay. It does nothing when no
+// roamer is queued. Batches must be booked in non-decreasing at order
+// (they fire first in, first out); a batch may still be pending when the
+// next one is booked. A batch's buffer is recycled once it has fired, so
+// steady-state handoff allocates nothing.
+func (s *Server) ScheduleInjects(at float64) {
+	if len(s.inbox) == 0 {
+		return
+	}
+	if len(s.inbound) > 0 && at < s.inboundAt {
+		panic(fmt.Sprintf("core: inject batch at %g booked after one at %g", at, s.inboundAt))
+	}
+	s.inbound = append(s.inbound, s.inbox)
+	s.inbox = nil
+	s.inboundAt = at
+	s.clk.At(at, s.injectH)
+}
+
+// injectBatch is the event ScheduleInjects books: it injects the oldest
+// pending batch in order and recycles its buffer.
+//
+//qos:hotpath
+func (s *Server) injectBatch() {
+	batch := s.inbound[0]
+	n := copy(s.inbound, s.inbound[1:])
+	s.inbound[n] = nil
+	s.inbound = s.inbound[:n]
+	for i := range batch {
+		r := &batch[i]
+		s.Inject(r.Item, r.Class, r.Arrival, r.Attempts, r.Span)
+	}
+	//lint:allow hotalloc amortized: the freelist holds at most as many buffers as batches were ever pending at once
+	s.inboundFree = append(s.inboundFree, batch[:0])
 }
 
 // RefuseHandoff records a roamer this cell turned away without processing:

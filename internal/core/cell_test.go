@@ -268,3 +268,54 @@ func TestInjectPushWaiter(t *testing.T) {
 		t.Error("injected push waiter never served")
 	}
 }
+
+// Queued roamers re-attach as one batch per ScheduleInjects call, in queue
+// order, at the booked time — also when a later batch is booked before an
+// earlier one has fired. Booking a batch before the latest pending one is a
+// causality bug and panics.
+func TestScheduleInjectsBatchesFireInOrder(t *testing.T) {
+	cfg := cellBase(t)
+	buf := &trace.Buffer{}
+	cfg.Tracer = buf
+	srv, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	srv.AdvanceTo(10)
+	srv.ScheduleInjects(12) // nothing queued: no event
+	srv.QueueInject(core.Roamer{Item: 50, Class: 1, Arrival: 9})
+	srv.QueueInject(core.Roamer{Item: 60, Class: 2, Arrival: 8})
+	srv.ScheduleInjects(20)
+	srv.QueueInject(core.Roamer{Item: 70, Class: 0, Arrival: 10})
+	srv.ScheduleInjects(25)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("booking a batch before a pending one did not panic")
+			}
+		}()
+		srv.QueueInject(core.Roamer{Item: 80, Class: 0, Arrival: 10})
+		srv.ScheduleInjects(15)
+	}()
+	srv.AdvanceTo(30)
+	type attach struct {
+		t    float64
+		item int
+	}
+	var got []attach
+	for _, e := range buf.Events {
+		if e.Kind == trace.KindHandoff {
+			got = append(got, attach{e.T, e.Item})
+		}
+	}
+	want := []attach{{20, 50}, {20, 60}, {25, 70}}
+	if len(got) != len(want) {
+		t.Fatalf("attached %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("attached %v, want %v", got, want)
+		}
+	}
+}

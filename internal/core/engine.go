@@ -129,6 +129,19 @@ type Server struct {
 	pullEntry *pullqueue.Entry // entry of the in-flight pull transmission
 	pullGrant *bandwidth.Grant // its bandwidth grant, nil without an allocator
 
+	// Cross-cell handoff buffers (cell.go): roamOut is ExtractRoamers'
+	// result, reused per call; inbox is the open batch QueueInject fills;
+	// inbound holds the batches booked by ScheduleInjects, oldest first,
+	// with inboundAt the latest batch's time; inboundFree recycles the
+	// buffers of batches that have fired; injectH is the one handler every
+	// batch event shares.
+	roamOut     []Roamer
+	inbox       []Roamer
+	inbound     [][]Roamer
+	inboundAt   float64
+	inboundFree [][]Roamer
+	injectH     func()
+
 	// reqs holds the submitted requests awaiting their outcome (serve.go).
 	reqs    reqArena
 	stopped bool // Stop was called: the channel books nothing more
@@ -291,6 +304,7 @@ func New(cfg Config) (*Server, error) {
 			s.completePull(entry, grant)
 		}
 	}
+	s.injectH = s.injectBatch
 
 	s.metrics = &Metrics{Horizon: cfg.Horizon, Cutoff: cfg.Cutoff}
 	for c := 0; c < cfg.Classes.NumClasses(); c++ {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // barriersafe: the cluster's bulk-synchronous contract, statically. Types
@@ -10,11 +11,19 @@ import (
 // place cross-shard reads and writes are legal. Functions that make up the
 // barrier phase carry //qos:barrier.
 //
-// Any field access rooted at a sharded-typed expression outside a barrier
-// function is flagged. Closures never inherit the annotation — deliberately:
-// the closure handed to workpool.Run *is* the parallel phase, and its
-// each-job-touches-only-its-own-shard argument is exactly the kind of claim
-// that belongs in a //lint:allow waiver where review can see it.
+// Any field or method selection rooted at a sharded-typed expression
+// outside a barrier function is flagged. Closures never inherit the
+// annotation — deliberately: the closure handed to workpool.Run *is* the
+// parallel phase, and its each-job-touches-only-its-own-shard argument is
+// exactly the kind of claim that belongs in a //lint:allow waiver where
+// review can see it.
+//
+// A method of a sharded type owns its receiver: selections rooted at the
+// receiver itself (outside closures) are one shard's own state and stay
+// legal anywhere. Selecting the method is still a selection on a sharded
+// value, so the call site must be barrier code or waived. This lets the
+// parallel phase be a shard method plus one waived call, rather than a
+// closure body waived line by line.
 //
 // The rule is opt-in per package: no //qos:sharded type, no work.
 
@@ -24,6 +33,7 @@ func checkBarrierSafe(p *pkg) {
 	}
 	p.eachFuncDecl(func(_ *ast.File, fd *ast.FuncDecl) {
 		inBarrier := p.ann.barrier[fd]
+		recv := p.shardedReceiver(fd)
 		flow := newFuncFlow(p, fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -37,6 +47,8 @@ func checkBarrierSafe(p *pkg) {
 			switch {
 			case inBarrier && !flow.inFuncLit(sel.Pos()):
 				// Legal: barrier-phase code in the annotated function body.
+			case recv != nil && p.isIdentOf(sel.X, recv) && !flow.inFuncLit(sel.Pos()):
+				// Legal: a sharded type's method touching its own receiver.
 			case flow.inFuncLit(sel.Pos()):
 				p.report(RuleBarrierSafe, sel.Pos(),
 					"sharded %s state touched inside a closure: closures do not inherit //qos:barrier (waive if each parallel job only touches its own shard)", typeName)
@@ -47,4 +59,24 @@ func checkBarrierSafe(p *pkg) {
 			return true
 		})
 	})
+}
+
+// shardedReceiver returns the receiver object of a method declared on a
+// sharded type (value or pointer receiver), or nil.
+func (p *pkg) shardedReceiver(fd *ast.FuncDecl) types.Object {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
+		return nil
+	}
+	name := fd.Recv.List[0].Names[0]
+	obj := p.info.Defs[name]
+	if obj == nil || !p.ann.sharded[p.namedLocalType(fd.Recv.List[0].Type)] {
+		return nil
+	}
+	return obj
+}
+
+// isIdentOf reports whether e is a bare identifier referring to obj.
+func (p *pkg) isIdentOf(e ast.Expr, obj types.Object) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && p.objectOf(id) == obj
 }

@@ -46,6 +46,9 @@ func TestFixtureFindings(t *testing.T) {
 		"internal/clock/virtual.go:9 [nondeterminism]",
 		"internal/cluster/cluster.go:31 [barriersafe]",
 		"internal/cluster/cluster.go:40 [barriersafe]",
+		"internal/cluster/cluster.go:62 [barriersafe]",
+		"internal/cluster/cluster.go:68 [barriersafe]",
+		"internal/cluster/cluster.go:84 [barriersafe]",
 		"internal/hotalloc/hotalloc.go:16 [hotalloc]",
 		"internal/hotalloc/hotalloc.go:30 [hotalloc]",
 		"internal/hotalloc/hotalloc.go:45 [hotalloc]",
@@ -284,31 +287,30 @@ func TestGoroutineDirsConfig(t *testing.T) {
 }
 
 // TestBarrierSafeRule: sharded access outside a barrier function and inside
-// a closure are flagged with distinct messages; barrier-phase access and the
-// waived closure stay silent.
+// a closure are flagged with distinct messages, and so are a shard method
+// reaching into another shard, a shard method's receiver captured by a
+// closure, and a shard method called outside a barrier. Barrier-phase
+// access, the waived closures and a shard method touching its own receiver
+// stay silent.
 func TestBarrierSafeRule(t *testing.T) {
 	diags, got := fixtureRun(t, "internal/cluster")
 	keys := strings.Join(got, "\n")
-	if n := strings.Count(keys, "[barriersafe]"); n != 2 {
-		t.Errorf("got %d barriersafe findings, want 2:\n%s", n, keys)
+	if n := strings.Count(keys, "[barriersafe]"); n != 5 {
+		t.Errorf("got %d barriersafe findings, want 5:\n%s", n, keys)
 	}
-	var outside, closure bool
+	const outsideMsg, closureMsg = "outside a //qos:barrier function", "closures do not inherit"
+	want := map[int]string{31: outsideMsg, 40: closureMsg, 62: outsideMsg, 68: closureMsg, 84: outsideMsg}
 	for _, d := range diags {
 		if d.Rule != RuleBarrierSafe {
 			continue
 		}
-		switch d.Pos.Line {
-		case 31:
-			outside = strings.Contains(d.Msg, "outside a //qos:barrier function")
-		case 40:
-			closure = strings.Contains(d.Msg, "closures do not inherit")
+		if msg, ok := want[d.Pos.Line]; ok && !strings.Contains(d.Msg, msg) {
+			t.Errorf("line %d: message %q should contain %q", d.Pos.Line, d.Msg, msg)
 		}
+		delete(want, d.Pos.Line)
 	}
-	if !outside {
-		t.Error("out-of-barrier access should say so")
-	}
-	if !closure {
-		t.Error("closure access should explain the no-inherit rule")
+	for line, msg := range want {
+		t.Errorf("line %d: no finding (want %q)", line, msg)
 	}
 }
 
