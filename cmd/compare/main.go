@@ -17,7 +17,7 @@ import (
 	"hybridqos"
 	"hybridqos/internal/catalog"
 	"hybridqos/internal/clients"
-	"hybridqos/internal/multichannel"
+	"hybridqos/internal/core"
 	"hybridqos/internal/report"
 )
 
@@ -115,7 +115,7 @@ func main() {
 			fatal("classes: %v", err)
 		}
 		for push := 1; push <= 3; push++ {
-			m, err := multichannel.Run(multichannel.Config{
+			m, err := core.Run(core.Config{
 				Catalog:        cat,
 				Classes:        cl,
 				Lambda:         base.Lambda,

@@ -6,7 +6,7 @@ import (
 
 	"hybridqos/internal/catalog"
 	"hybridqos/internal/clients"
-	"hybridqos/internal/multichannel"
+	"hybridqos/internal/core"
 )
 
 func TestErlangCErrors(t *testing.T) {
@@ -89,7 +89,7 @@ func TestMultiChannelModelTracksSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := multichannel.Run(multichannel.Config{
+		m, err := core.Run(core.Config{
 			Catalog:        cat,
 			Classes:        cl,
 			Lambda:         5,

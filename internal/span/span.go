@@ -136,13 +136,15 @@ type builder struct {
 
 // closeSegment closes [b.cursor, to] as kind and moves the cursor.
 // Zero-length segments are skipped: events at the same instant (start +
-// enqueue, loss + terminal) would otherwise litter the tree.
+// enqueue, loss + terminal) would otherwise litter the tree. A boundary
+// before the cursor is held at the cursor: the engine records a
+// transmission start as completion − length/rate, which can round to just
+// before the instant a request was queued when an idle channel served it
+// at once.
 func (b *builder) closeSegment(kind string, to float64, attempt int) {
 	if to > b.cursor {
 		b.forceSegment(kind, to, attempt)
-		return
 	}
-	b.cursor = to
 }
 
 // forceSegment closes [b.cursor, to] as kind even when zero-length — the

@@ -498,3 +498,30 @@ func TestOpenSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServiceStartRoundedBeforeEnqueue: a request queued at an idle
+// channel is served at once, and the engine's completion − length/rate can
+// land one rounding step before the enqueue instant. The service segment
+// must start at the enqueue, not open an overlap.
+func TestServiceStartRoundedBeforeEnqueue(t *testing.T) {
+	arrival, service := 0.35669874611664754, 12.0
+	end := arrival + service
+	start := end - service
+	if start >= arrival {
+		t.Fatalf("fixture does not round down: %v", start)
+	}
+	spans, err := span.Build([]trace.Event{
+		{T: arrival, Kind: trace.KindSpanStart, Req: 7, Reason: trace.VerdictPull},
+		{T: arrival, Kind: trace.KindSpanEnqueue, Req: 7},
+		{T: end, Kind: trace.KindSpanEnd, Req: 7, Reason: trace.EndServed, Arrival: arrival, Start: start},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := span.Verify(spans); err != nil {
+		t.Fatal(err)
+	}
+	if segs := spans[0].Segments; len(segs) != 1 || segs[0].Kind != span.SegService || segs[0].From != arrival {
+		t.Fatalf("segments %+v, want one service segment from the enqueue", segs)
+	}
+}
