@@ -60,9 +60,9 @@ type MultiChannelParams struct {
 }
 
 // MultiChannelAccessTime predicts the overall expected access time of the
-// multi-channel hybrid system (internal/multichannel) using the same
-// item-level fixed point as the single-channel refined model, adapted to
-// c parallel pull servers via Erlang-C:
+// multi-channel hybrid system (core.Config's push/pull channel split)
+// using the same item-level fixed point as the single-channel refined
+// model, adapted to c parallel pull servers via Erlang-C:
 //
 //   - push: channel p cycles K/P items at rate 1/n, so a push request waits
 //     half its partition's cycle ≈ (K/P)·L̄push·n/2 plus the transmission;
